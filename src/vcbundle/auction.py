@@ -1,8 +1,9 @@
 """Pivot-payment auction engine.
 
 Winner determination is exact and deterministic: a dense dynamic program over
-(buyer prefix, remaining-goods subset) for table-backed profiles, and a
-branch-and-bound packing search over atoms when every valuation is sparse.
+(buyer prefix, remaining-goods subset) for table-backed profiles, and the
+memoised atom-packing kernel of ``core.AtomPacking`` when every valuation is
+sparse.
 Tie-breaking among surplus-optimal allocations is an explicit, deterministic
 rule because the equilibrium analysis needs "there exists a mechanism that
 picks this optimum" as an operation.
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 from .core import (
     Allocation,
+    AtomPacking,
     Bundle,
     BundleFamily,
     BudgetExceededError,
@@ -24,6 +26,7 @@ from .core import (
     Profile,
     Valuation,
     Value,
+    max_packing,
     popcount,
     DENSE_GOODS_CAP,
 )
@@ -158,7 +161,6 @@ def _atom_list(profile: Profile):
         for mask, weight in v.atoms:
             if mask and weight > 0:
                 atoms.append((i, mask, weight))
-    atoms.sort(key=lambda t: (t[0], t[1]))
     if len(atoms) > SPARSE_ATOMS_CAP:
         raise BudgetExceededError(f"sparse solver capped at {SPARSE_ATOMS_CAP} atoms")
     return atoms
@@ -173,10 +175,6 @@ def _sparse_solve(profile: Profile, tie: TieBreak, reference: Profile | None):
         if reference.n != n or reference.universe != profile.universe:
             raise InvalidInputError("reference profile shape mismatch")
 
-    suffix = [_ZERO] * (len(atoms) + 1)
-    for j in range(len(atoms) - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + atoms[j][2]
-
     def key_of(masks: list[int]):
         if tie.kind == "canonical":
             return tuple(masks)
@@ -190,53 +188,36 @@ def _sparse_solve(profile: Profile, tie: TieBreak, reference: Profile | None):
             ref_surplus += v.value(b)
         return (ref_surplus, tuple(masks))
 
-    masks = [0] * n
-    best_weight = _ZERO
-    best_key = key_of(masks)
-    best_masks = tuple(masks)
-
-    def dfs(j: int, used: int, weight: Value) -> None:
-        nonlocal best_weight, best_key, best_masks
-        if weight + suffix[j] < best_weight:
-            return
-        if j == len(atoms):
-            key = key_of(masks)
-            if weight > best_weight or (weight == best_weight and key < best_key):
-                best_weight = weight
-                best_key = key
-                best_masks = tuple(masks)
-            return
-        buyer, mask, w = atoms[j]
-        if mask & used == 0:
-            masks[buyer] |= mask
-            dfs(j + 1, used | mask, weight + w)
-            masks[buyer] ^= mask
-        dfs(j + 1, used, weight)
-
-    dfs(0, 0, _ZERO)
-    return Allocation(profile.universe, best_masks), best_weight
+    packing = AtomPacking([(mask, w) for _, mask, w in atoms])
+    buyers = [atoms[i][0] for i in packing.order]
+    full = profile.universe.full_mask
+    optimum = packing.best(0, full)
+    _, masks = _least_optimum(packing, buyers, key_of, 0, full, optimum, [0] * n)
+    return Allocation(profile.universe, masks), optimum
 
 
-def _sparse_value(profile: Profile) -> Value:
-    atoms = _atom_list(profile)
-    suffix = [_ZERO] * (len(atoms) + 1)
-    for j in range(len(atoms) - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + atoms[j][2]
-    best = _ZERO
+def _least_optimum(packing: AtomPacking, buyers, key_of, j: int, free: int, need: Value, masks):
+    """(key, buyer masks) of the least-key optimal leaf below atom j.
 
-    def dfs(j: int, used: int, weight: Value) -> None:
-        nonlocal best
-        if weight + suffix[j] <= best:
-            return
-        if j == len(atoms):
-            best = weight
-            return
-        _, mask, w = atoms[j]
-        if mask & used == 0:
-            dfs(j + 1, used | mask, weight + w)
-        dfs(j + 1, used, weight)
-
-    dfs(0, 0, _ZERO)
+    ``need`` is the weight atoms j.. must still add inside ``free``; a child
+    is entered only when its exact value V meets it, so every leaf reached
+    is optimal.  Once ``need`` is 0 the remaining (positive) atoms are all
+    left out.
+    """
+    if not need:
+        return key_of(masks), tuple(masks)
+    best = None
+    mask = packing.masks[j]
+    weight = packing.weights[j]
+    if mask & free == mask and weight + packing.best(j + 1, free ^ mask) == need:
+        buyer = buyers[j]
+        masks[buyer] |= mask
+        best = _least_optimum(packing, buyers, key_of, j + 1, free ^ mask, need - weight, masks)
+        masks[buyer] ^= mask
+    if packing.best(j + 1, free) == need:
+        leaf = _least_optimum(packing, buyers, key_of, j + 1, free, need, masks)
+        if best is None or leaf[0] < best[0]:
+            best = leaf
     return best
 
 
@@ -265,7 +246,8 @@ def _dense_value(profile: Profile) -> Value:
 def max_surplus(profile: Profile) -> Value:
     """Optimal surplus over all allocations (value only, tie-break free)."""
     if profile.all_sparse:
-        return _sparse_value(profile)
+        atoms = _atom_list(profile)
+        return max_packing([(mask, w) for _, mask, w in atoms], profile.universe.full_mask)
     return _dense_value(profile)
 
 

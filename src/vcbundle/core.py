@@ -7,6 +7,7 @@ floating point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -83,29 +84,45 @@ class GoodsUniverse:
     def m(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << self.m) - 1
 
+    @cached_property
+    def _bits(self) -> dict[str, int]:
+        return {lab: 1 << i for i, lab in enumerate(self.labels)}
+
+    @cached_property
+    def _label_lengths(self) -> tuple[int, ...]:
+        return tuple(sorted({len(lab) for lab in self.labels}, reverse=True))
+
     def mask_of(self, labels: Iterable[str]) -> Bundle:
         mask = 0
+        bits = self._bits
         for lab in labels:
             try:
-                mask |= 1 << self.labels.index(lab)
-            except ValueError:
+                mask |= bits[lab]
+            except KeyError:
                 raise InvalidInputError(f"unknown good label {lab!r}") from None
         return mask
 
     def parse_bundle(self, text: str) -> Bundle:
-        """Parse concatenated labels ("abc"); "" is the empty bundle."""
+        """Parse concatenated labels ("abc"); "" is the empty bundle.
+
+        At each position the longest label that matches is taken.
+        """
         mask = 0
         pos = 0
-        by_len = sorted(self.labels, key=len, reverse=True)
+        bits = self._bits
         while pos < len(text):
-            for lab in by_len:
-                if text.startswith(lab, pos):
-                    mask |= 1 << self.labels.index(lab)
-                    pos += len(lab)
+            # Labels are distinct, so at most one of each length matches here.
+            # A slice cut short by the end of the text matches only a label
+            # equal to the rest of the text, which is then the longest match.
+            for length in self._label_lengths:
+                bit = bits.get(text[pos : pos + length])
+                if bit is not None:
+                    mask |= bit
+                    pos += length
                     break
             else:
                 raise InvalidInputError(f"cannot parse bundle string {text!r}")
@@ -143,6 +160,8 @@ def as_value(value) -> Value:
         except (ValueError, ZeroDivisionError):
             raise InvalidInputError(f"cannot parse value {value!r}") from None
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InvalidInputError(f"value {value} is not finite")
         # str() gives the shortest round-trip decimal, so 0.1 -> 1/10.
         return as_value(Fraction(str(value)))
     raise InvalidInputError(f"unsupported value type {type(value).__name__}")
@@ -202,7 +221,11 @@ class Valuation:
         self.universe.check_bundle(mask)
         if self.table is not None:
             return self.table[mask]
-        return _best_packing(self.atoms, mask)
+        atoms = self.atoms
+        if len(atoms) == 1:
+            atom, weight = atoms[0]
+            return weight if atom and atom & mask == atom else 0
+        return max_packing([(a, w) for a, w in atoms if a and w and a & mask == a], mask)
 
     def to_dense(self) -> "Valuation":
         if self.table is not None:
@@ -226,20 +249,84 @@ class Valuation:
         return any(w != 0 and mask for mask, w in self.atoms)
 
 
-def _best_packing(atoms: tuple[tuple[Bundle, Value], ...], mask: Bundle) -> Value:
-    inside = [(a, w) for a, w in atoms if a and w and a & mask == a]
+class AtomPacking:
+    """Exact max-weight packing of (mask, weight) atoms.
 
-    def search(i: int, free: int) -> Value:
-        best = 0
-        for j in range(i, len(inside)):
-            a, w = inside[j]
-            if a & free == a:
-                cand = w + search(j + 1, free & ~a)
-                if cand > best:
-                    best = cand
-        return best
+    ``best(j, free)`` is V(j, free): the largest total weight of pairwise
+    disjoint atoms among ``masks[j:]`` that fit inside ``free``.  The atoms
+    are reordered one connected component of the goods-overlap graph at a
+    time, and by lowest good within a component; ``order[j]`` is the input
+    index of the j-th atom.  V(j, free) depends only on ``free & cover[j]``,
+    where ``cover[j]`` is the union of atoms j.., so the memo is keyed on
+    that: once a component's atoms are past, its goods drop out of the key
+    and independent components are solved independently.  Every mask must be
+    nonzero and every weight positive.  The memo lives and dies with the
+    instance, which holds no reference cycle.
+    """
 
-    return search(0, mask)
+    __slots__ = ("order", "masks", "weights", "_cover", "_memo")
+
+    def __init__(self, atoms: Sequence[tuple[Bundle, Value]]) -> None:
+        # (goods, [(lowest good's bit, mask, input index)]) per component
+        components: list[tuple[int, list[tuple[int, int, int]]]] = []
+        for i, (mask, _) in enumerate(atoms):
+            goods, members, apart = mask, [(mask & -mask, mask, i)], []
+            for comp in components:
+                # Components are pairwise disjoint, so one pass merges all
+                # that the new atom connects.
+                if comp[0] & goods:
+                    goods |= comp[0]
+                    members += comp[1]
+                else:
+                    apart.append(comp)
+            apart.append((goods, members))
+            components = apart
+        order = []
+        for _, members in components:
+            members.sort()
+            order += [i for _, _, i in members]
+        self.order = order
+        self.masks = masks = [atoms[i][0] for i in order]
+        self.weights = [atoms[i][1] for i in order]
+        cover = [0] * (len(order) + 1)
+        for j in range(len(order) - 1, -1, -1):
+            cover[j] = cover[j + 1] | masks[j]
+        self._cover = cover
+        self._memo = {}
+
+    def best(self, j: int, free: Bundle) -> Value:
+        return _pack(j, free, self.masks, self.weights, self._cover, self._memo)
+
+
+def _pack(j: int, free: Bundle, masks, weights, cover, memo) -> Value:
+    # Skip atoms that no longer fit; they cannot change V.
+    while True:
+        free &= cover[j]
+        if not free:
+            return 0
+        atom = masks[j]
+        if atom & free == atom:
+            break
+        j += 1
+    key = (j, free)
+    best = memo.get(key)
+    if best is None:
+        best = _pack(j + 1, free, masks, weights, cover, memo)
+        cand = weights[j] + _pack(j + 1, free ^ atom, masks, weights, cover, memo)
+        if cand > best:
+            best = cand
+        memo[key] = best
+    return best
+
+
+def max_packing(atoms: Sequence[tuple[Bundle, Value]], free: Bundle) -> Value:
+    """Largest total weight of pairwise-disjoint atoms inside ``free``
+    (nonzero masks, positive weights)."""
+    if len(atoms) <= 1:
+        if atoms and atoms[0][0] & free == atoms[0][0]:
+            return atoms[0][1]
+        return 0
+    return AtomPacking(atoms).best(0, free)
 
 
 def unanimity_valuation(universe: GoodsUniverse, bundle: Bundle, weight=1) -> Valuation:

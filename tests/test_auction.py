@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,12 @@ from vcbundle import (
     unanimity_profile,
     unanimity_valuation,
 )
-from conftest import brute_force_optima, brute_force_sigma_surplus, small_profiles
+from conftest import (
+    brute_force_optima,
+    brute_force_packing,
+    brute_force_sigma_surplus,
+    small_profiles,
+)
 
 
 def w(universe, text, weight=1):
@@ -141,6 +147,77 @@ class TestOptimalAllocation:
         prof = profile_of(universe, Valuation.from_atoms(universe, atoms))
         with pytest.raises(BudgetExceededError):
             max_surplus(prof)
+
+
+_TIED_WEIGHTS = st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(3, 2)])
+
+
+@st.composite
+def tied_atom_valuations(draw, universe: GoodsUniverse) -> Valuation:
+    """1-3 atoms on 1-3 goods each; the few small weights make tied optima
+    common."""
+    atoms = []
+    for _ in range(draw(st.integers(1, 3))):
+        goods = draw(st.lists(st.integers(0, universe.m - 1), min_size=1, max_size=3))
+        atoms.append((sum(1 << g for g in set(goods)), draw(_TIED_WEIGHTS)))
+    return Valuation.from_atoms(universe, atoms)
+
+
+class TestPackingKernel:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_larger_sparse_profiles_match_dense_route_and_brute_force(self, data):
+        universe = GoodsUniverse.of_size(data.draw(st.integers(5, 8)))
+        n = data.draw(st.integers(1, 5))
+        buyers = st.lists(tied_atom_valuations(universe), min_size=n, max_size=n)
+        profile = Profile(universe, tuple(data.draw(buyers)))
+        reference = Profile(universe, tuple(data.draw(buyers)))
+        dense = Profile(universe, tuple(v.to_dense() for v in profile.valuations))
+        buyer = data.draw(st.integers(0, n - 1))
+        for tie, ref in (
+            (TieBreak.canonical(), None),
+            (TieBreak.seller_favoring(), None),
+            (TieBreak.adversarial_to(buyer), reference),
+        ):
+            a1, s1 = optimal_allocation(profile, tie, ref)
+            a2, s2 = optimal_allocation(dense, tie, ref)
+            assert s1 == s2
+            assert a1.buyer_bundles == a2.buyer_bundles
+        atoms = [atom for v in profile.valuations for atom in v.atoms]
+        assert max_surplus(profile) == brute_force_packing(atoms, universe.full_mask)
+        merged = Valuation.from_atoms(universe, atoms)
+        for mask in universe.all_bundles():
+            assert merged.value(mask) == brute_force_packing(atoms, mask)
+        masks = data.draw(st.lists(st.integers(0, universe.full_mask), min_size=1, max_size=4))
+        for mask in masks:
+            for v in profile.valuations:
+                assert v.value(mask) == brute_force_packing(v.atoms, mask)
+
+    def test_sparse_solves_leave_no_cyclic_garbage(self):
+        universe = GoodsUniverse.of_size(6)
+        a, b, c, d, e, f = (1 << i for i in range(6))
+        profile = Profile(universe, (
+            Valuation.from_atoms(universe, [(a | b, 2), (c, 1), (d | e, 2)]),
+            Valuation.from_atoms(universe, [(b | c, 2), (e | f, 1)]),
+            Valuation.from_atoms(universe, [(a, 1), (f, 1)]),
+        ))
+        calls = {
+            "optimal_allocation": lambda: optimal_allocation(
+                profile, TieBreak.adversarial_to(0), reference=profile),
+            "max_surplus": lambda: max_surplus(profile),
+            "run_vc": lambda: run_vc(profile, TieBreak.seller_favoring()),
+            "Valuation.value": lambda: profile.valuations[0].value(universe.full_mask),
+        }
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for name, call in calls.items():
+                gc.collect()
+                call()
+                assert gc.collect() == 0, name
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestSigmaOptimalSurplus:

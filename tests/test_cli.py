@@ -103,6 +103,18 @@ class TestExitCodes:
         bad.write_text('{"goods": ["a"], "valuations": [{"kind": "dense", "values": {"a": -1}}]}')
         assert cli("auction", "--instance", str(bad)).returncode == 1
 
+    @pytest.mark.parametrize("valuation", [
+        '{"kind": "atoms", "atoms": [{"bundle": "a", "weight": 1e999}]}',
+        '{"kind": "dense", "values": {"a": 1e999}}',
+        '{"kind": "atoms", "atoms": [{"bundle": "a", "weight": NaN}]}',
+    ])
+    def test_non_finite_numbers_are_invalid_input(self, tmp_path, valuation):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"goods": ["a"], "valuations": [%s]}' % valuation)
+        proc = cli("auction", "--instance", str(bad))
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+
 
 class TestDeterminismAndGoldens:
     def test_byte_identical_reruns(self):
