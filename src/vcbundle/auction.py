@@ -1,7 +1,7 @@
 """Pivot-payment auction engine.
 
 Winner determination is exact and deterministic: a dense dynamic program over
-(buyer prefix, remaining-goods subset) for table-backed profiles, and the
+(buyer suffix, remaining-goods subset) for table-backed profiles, and the
 memoised atom-packing kernel of ``core.AtomPacking`` when every valuation is
 sparse.
 Tie-breaking among surplus-optimal allocations is an explicit, deterministic
@@ -11,7 +11,6 @@ picks this optimum" as an operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     Allocation,
@@ -30,9 +29,7 @@ from .core import (
     popcount,
     DENSE_GOODS_CAP,
 )
-from .sigma import partition_of_family
-
-SPARSE_ATOMS_CAP = 64
+from .sigma import _minimal_supersets, partition_of_family
 
 _ZERO = 0
 
@@ -70,89 +67,100 @@ class TieBreak:
         return TieBreak("adversarial", buyer)
 
 
-def _secondary_fns(profile: Profile, tie: TieBreak, reference: Profile | None):
-    """Per-buyer secondary objective on bundles, maximized after surplus.
+def _tie_costs(profile: Profile, tie: TieBreak, reference: Profile | None):
+    """Per-buyer tie cost of a bundle, minimized among surplus-optimal
+    allocations before the canonical order decides.
 
-    None when the tie rule needs no secondary pass (canonical).
+    None when the tie rule has no cost (canonical).  Summed over the buyers'
+    disjoint bundles, seller's cost is the number of goods allocated and
+    adversarial's is the reference profile's surplus.
     """
     if tie.kind == "canonical":
         return None
     if tie.kind == "seller":
-        return [lambda mask: -popcount(mask)] * profile.n
+        return [popcount] * profile.n
     if reference is None:
         raise InvalidInputError("adversarial tie-break needs a reference profile")
     if reference.n != profile.n or reference.universe != profile.universe:
         raise InvalidInputError("reference profile shape mismatch")
-    return [(lambda v: (lambda mask: -v.value(mask)))(v) for v in reference.valuations]
+    return [v.value for v in reference.valuations]
+
+
+def _dense_rows(profile: Profile, costs):
+    """Subset DP over (buyer suffix, goods subset) (Rothkopf, Pekec & Harstad
+    1998): returns the buyers' dense tables and the rows, where
+    ``rows[i][S]`` is the best buyers i.. achieve on goods S.
+
+    Without tie costs a row holds plain surplus values; with them it holds
+    (surplus, minus total cost) pairs, maximized lexicographically.
+    """
+    m = profile.universe.m
+    if m > DENSE_GOODS_CAP:
+        raise BudgetExceededError(
+            f"dense winner determination capped at m <= {DENSE_GOODS_CAP} goods, got m = {m}"
+        )
+    size = profile.universe.full_mask + 1
+    tables = [v.to_dense().table for v in profile.valuations]
+    rows = [[_ZERO] * size if costs is None else [(_ZERO, 0)] * size]
+    for i in range(profile.n - 1, -1, -1):
+        nxt = rows[0]
+        vals = tables[i]
+        cur = []
+        if costs is None:
+            for s in range(size):
+                best = vals[0] + nxt[s]  # buyer takes nothing
+                t = s
+                while t:
+                    cand = vals[t] + nxt[s ^ t]
+                    if cand > best:
+                        best = cand
+                    t = (t - 1) & s
+                cur.append(best)
+        else:
+            cost = [costs[i](t) for t in range(size)]
+            for s in range(size):
+                rest = nxt[s]
+                best = (vals[0] + rest[0], rest[1] - cost[0])
+                t = s
+                while t:
+                    rest = nxt[s ^ t]
+                    cand = (vals[t] + rest[0], rest[1] - cost[t])
+                    if cand > best:
+                        best = cand
+                    t = (t - 1) & s
+                cur.append(best)
+        rows.insert(0, cur)
+    return tables, rows
 
 
 def _dense_solve(profile: Profile, tie: TieBreak, reference: Profile | None):
-    universe = profile.universe
-    if universe.m > DENSE_GOODS_CAP:
-        raise BudgetExceededError(f"dense winner determination capped at m <= {DENSE_GOODS_CAP}")
-    full = universe.full_mask
-    size = full + 1
-    tables = [v.to_dense().table for v in profile.valuations]
-    secondary = _secondary_fns(profile, tie, reference)
-    n = profile.n
-
-    # suffix[i][S]: best (surplus, secondary) achievable by buyers i.. on S.
-    suffix: list[list[tuple[Value, object]]] = [[(_ZERO, 0)] * size]
-    for i in range(n - 1, -1, -1):
-        nxt = suffix[0]
-        vals = tables[i]
-        sec = None if secondary is None else secondary[i]
-        sec_cache = None if sec is None else [sec(t) for t in range(size)]
-        cur = []
-        for s in range(size):
-            if sec_cache is None:
-                rest = nxt[s]
-                best = (vals[0] + rest[0], 0)
-                t = s
-                while t:
-                    rest = nxt[s ^ t]
-                    cand = (vals[t] + rest[0], 0)
-                    if cand > best:
-                        best = cand
-                    t = (t - 1) & s
-            else:
-                rest = nxt[s]
-                best = (vals[0] + rest[0], sec_cache[0] + rest[1])
-                t = s
-                while t:
-                    rest = nxt[s ^ t]
-                    cand = (vals[t] + rest[0], sec_cache[t] + rest[1])
-                    if cand > best:
-                        best = cand
-                    t = (t - 1) & s
-            cur.append(best)
-        suffix.insert(0, cur)
+    costs = _tie_costs(profile, tie, reference)
+    tables, rows = _dense_rows(profile, costs)
+    full = profile.universe.full_mask
 
     # Reconstruct: per buyer in order, the smallest bundle preserving the optimum.
     masks = []
     s = full
-    for i in range(n):
-        target = suffix[i][s]
+    for i in range(profile.n):
+        target = rows[i][s]
         vals = tables[i]
-        sec = None if secondary is None else secondary[i]
-        nxt = suffix[i + 1]
-        chosen = None
+        nxt = rows[i + 1]
         t = 0
         while True:  # submasks of s in ascending order
-            rest = nxt[s ^ t]
-            cand = (vals[t] + rest[0], 0 if sec is None else sec(t) + rest[1])
+            if costs is None:
+                cand = vals[t] + nxt[s ^ t]
+            else:
+                rest = nxt[s ^ t]
+                cand = (vals[t] + rest[0], rest[1] - costs[i](t))
             if cand == target:
-                chosen = t
                 break
             if t == s:
-                break
+                raise InternalInvariantError("dense reconstruction lost the optimum")
             t = (t - s) & s
-        if chosen is None:
-            raise InternalInvariantError("dense reconstruction lost the optimum")
-        masks.append(chosen)
-        s ^= chosen
-    allocation = Allocation(universe, tuple(masks))
-    return allocation, suffix[0][full][0]
+        masks.append(t)
+        s ^= t
+    value = rows[0][full] if costs is None else rows[0][full][0]
+    return Allocation(profile.universe, tuple(masks)), value
 
 
 def _atom_list(profile: Profile):
@@ -161,38 +169,27 @@ def _atom_list(profile: Profile):
         for mask, weight in v.atoms:
             if mask and weight > 0:
                 atoms.append((i, mask, weight))
-    if len(atoms) > SPARSE_ATOMS_CAP:
-        raise BudgetExceededError(f"sparse solver capped at {SPARSE_ATOMS_CAP} atoms")
     return atoms
 
 
 def _sparse_solve(profile: Profile, tie: TieBreak, reference: Profile | None):
     atoms = _atom_list(profile)
-    n = profile.n
-    if tie.kind == "adversarial":
-        if reference is None:
-            raise InvalidInputError("adversarial tie-break needs a reference profile")
-        if reference.n != n or reference.universe != profile.universe:
-            raise InvalidInputError("reference profile shape mismatch")
+    costs = _tie_costs(profile, tie, reference)
 
     def key_of(masks: list[int]):
-        if tie.kind == "canonical":
-            return tuple(masks)
-        if tie.kind == "seller":
-            used = 0
-            for b in masks:
-                used |= b
-            return (popcount(used), tuple(masks))
-        ref_surplus = _ZERO
-        for v, b in zip(reference.valuations, masks):
-            ref_surplus += v.value(b)
-        return (ref_surplus, tuple(masks))
+        masks = tuple(masks)
+        if costs is None:
+            return masks
+        total = _ZERO
+        for cost, b in zip(costs, masks):
+            total += cost(b)
+        return (total, masks)
 
     packing = AtomPacking([(mask, w) for _, mask, w in atoms])
     buyers = [atoms[i][0] for i in packing.order]
     full = profile.universe.full_mask
     optimum = packing.best(0, full)
-    _, masks = _least_optimum(packing, buyers, key_of, 0, full, optimum, [0] * n)
+    _, masks = _least_optimum(packing, buyers, key_of, 0, full, optimum, [0] * profile.n)
     return Allocation(profile.universe, masks), optimum
 
 
@@ -221,34 +218,13 @@ def _least_optimum(packing: AtomPacking, buyers, key_of, j: int, free: int, need
     return best
 
 
-def _dense_value(profile: Profile) -> Value:
-    universe = profile.universe
-    if universe.m > DENSE_GOODS_CAP:
-        raise BudgetExceededError(f"dense winner determination capped at m <= {DENSE_GOODS_CAP}")
-    size = universe.full_mask + 1
-    cur = [_ZERO] * size
-    for v in profile.valuations:
-        vals = v.to_dense().table
-        nxt = []
-        for s in range(size):
-            best = vals[0] + cur[s]  # buyer takes nothing
-            t = s
-            while t:
-                cand = vals[t] + cur[s ^ t]
-                if cand > best:
-                    best = cand
-                t = (t - 1) & s
-            nxt.append(best)
-        cur = nxt
-    return cur[size - 1]
-
-
 def max_surplus(profile: Profile) -> Value:
     """Optimal surplus over all allocations (value only, tie-break free)."""
     if profile.all_sparse:
         atoms = _atom_list(profile)
         return max_packing([(mask, w) for _, mask, w in atoms], profile.universe.full_mask)
-    return _dense_value(profile)
+    _, rows = _dense_rows(profile, None)
+    return rows[0][-1]
 
 
 def optimal_allocation(
@@ -281,7 +257,9 @@ def _meta_valuation(v: Valuation, parts: tuple[Bundle, ...], meta_universe: Good
 def _partition_surplus(profile: Profile, partition: Partition) -> tuple[Allocation, Value]:
     parts = partition.parts
     if partition.k > DENSE_GOODS_CAP:
-        raise BudgetExceededError(f"meta-good reduction capped at k <= {DENSE_GOODS_CAP} parts")
+        raise BudgetExceededError(
+            f"meta-good reduction capped at k <= {DENSE_GOODS_CAP} parts, got k = {partition.k}"
+        )
     meta_universe = GoodsUniverse.of_size(partition.k)
     meta_profile = Profile(
         meta_universe,
@@ -322,9 +300,7 @@ def sigma_optimal_surplus(profile: Profile, family: BundleFamily) -> tuple[Alloc
             return []
         if len(live) > 1:
             return bundles
-        atom = live[0][0]
-        sups = [c for c in bundles if c & atom == atom]
-        return [c for c in sups if not any(o is not c and o & c == o for o in sups)]
+        return _minimal_supersets(live[0][0], bundles)
 
     per_buyer = [candidates_for(v) for v in valuations]
     value_cache: dict[tuple[int, Bundle], Value] = {}

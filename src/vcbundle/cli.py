@@ -22,13 +22,13 @@ from .core import (
     GoodsUniverse,
     InternalInvariantError,
     InvalidInputError,
+    SWEEP_GOODS_CAP,
     partition_from_sizes,
 )
 from .sigma import classify_family, project_profile, project_valuation
 from .auction import TieBreak, run_vc
 from .equilibrium import (
     check_bundling_equilibrium,
-    communication_complexity,
     disjoint_unanimity_profiles,
     empirical_ratio,
     random_monotone_profiles,
@@ -36,8 +36,6 @@ from .equilibrium import (
 from .ineff import max_feasible_family, phi, projective_plane
 from . import jsonio
 from .reproduce import TARGETS, run_all, run_target
-
-SWEEP_GOODS_CAP = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,7 +81,7 @@ def _profiles_for(universe: GoodsUniverse, spec: str, seed: int):
     if spec == "sweep":
         if universe.m > SWEEP_GOODS_CAP:
             raise BudgetExceededError(
-                f"the unanimity sweep is capped at m <= {SWEEP_GOODS_CAP} goods"
+                f"the unanimity sweep is capped at m <= {SWEEP_GOODS_CAP} goods, got m = {universe.m}"
             )
         return list(disjoint_unanimity_profiles(universe))
     if spec.startswith("random:"):
@@ -126,7 +124,7 @@ def _cmd_analyze_sigma(args) -> int:
     payload = {
         "family": jsonio.family_payload(family),
         "classification": jsonio.classification_payload(universe, cls),
-        "communication_complexity": communication_complexity(family),
+        "communication_complexity": len(family),
         "verdict": "equilibrium-consistent" if verdict.consistent else "violated",
         "profiles_checked": verdict.profiles_checked,
         "witness": None,
@@ -220,8 +218,6 @@ def build_parser() -> _Parser:
     def add_common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized profile generation")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker budget hint (current solvers run sequentially)")
 
     p = sub.add_parser("auction", help="run the mechanism on a JSON instance")
     p.add_argument("--instance", required=True)
@@ -268,9 +264,6 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("vcbundle: error: --jobs must be positive", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except InvalidInputError as exc:

@@ -19,7 +19,15 @@ Bundle = int  # bitmask over the goods universe; 0 is the empty bundle
 # arithmetic promotes exactly; division must always go through Fraction.
 Value = int | Fraction
 
-DENSE_GOODS_CAP = 14  # dense tables hold 2^m values
+# Size budgets.  Each exponential computation checks one of these and raises
+# BudgetExceededError (CLI exit code 2), naming the limit and the size.
+DENSE_GOODS_CAP = 14  # dense tables and the 3^m dynamic program hold 2^m values
+SPARSE_ATOMS_CAP = 64  # atoms in one packing-kernel instance
+MAX_EXACT_PARTS = 8  # parts in the exact feasible-family search
+MAX_ORACLE_GOODS = 12  # goods in the ratio_oracle profile sweep
+SWEEP_GOODS_CAP = 8  # goods in the CLI's disjoint-unanimity sweep
+FIELD_PARTS_CAP = 20  # parts of a partition whose 2^k-bundle field is built
+FAMILY_ENUM_GOODS_CAP = 4  # goods in the exhaustive bundle-family enumeration
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -138,7 +146,9 @@ class GoodsUniverse:
 
     def all_bundles(self) -> range:
         if self.m > DENSE_GOODS_CAP:
-            raise BudgetExceededError(f"cannot enumerate 2^{self.m} bundles")
+            raise BudgetExceededError(
+                f"bundle enumeration capped at m <= {DENSE_GOODS_CAP} goods, got m = {self.m}"
+            )
         return range(self.full_mask + 1)
 
 
@@ -261,12 +271,17 @@ class AtomPacking:
     that: once a component's atoms are past, its goods drop out of the key
     and independent components are solved independently.  Every mask must be
     nonzero and every weight positive.  The memo lives and dies with the
-    instance, which holds no reference cycle.
+    instance, which holds no reference cycle.  The recursion goes one level
+    deeper per atom, so the atom count is capped at ``SPARSE_ATOMS_CAP``.
     """
 
     __slots__ = ("order", "masks", "weights", "_cover", "_memo")
 
     def __init__(self, atoms: Sequence[tuple[Bundle, Value]]) -> None:
+        if len(atoms) > SPARSE_ATOMS_CAP:
+            raise BudgetExceededError(
+                f"atom packing capped at {SPARSE_ATOMS_CAP} atoms, got {len(atoms)}"
+            )
         # (goods, [(lowest good's bit, mask, input index)]) per component
         components: list[tuple[int, list[tuple[int, int, int]]]] = []
         for i, (mask, _) in enumerate(atoms):
@@ -408,10 +423,6 @@ class Profile:
         vals = list(self.valuations)
         vals[i] = v
         return Profile(self.universe, tuple(vals))
-
-
-def profile_of(universe: GoodsUniverse, *valuations: Valuation) -> Profile:
-    return Profile(universe, tuple(valuations))
 
 
 @dataclass(frozen=True)

@@ -33,11 +33,6 @@ from .auction import TieBreak, max_surplus, optimal_allocation, sigma_optimal_su
 _ZERO = 0
 
 
-def communication_complexity(family: BundleFamily) -> int:
-    """Number of bundles a buyer reports on, the empty bundle included."""
-    return len(family)
-
-
 def deviation_gap(
     family: BundleFamily,
     profile: Profile,

@@ -19,6 +19,8 @@ from .core import (
     GoodsUniverse,
     InternalInvariantError,
     InvalidInputError,
+    MAX_EXACT_PARTS,
+    MAX_ORACLE_GOODS,
     Partition,
     Profile,
     as_value,
@@ -29,9 +31,6 @@ from .core import (
 from .sigma import field_of_partition
 from .auction import max_surplus, sigma_optimal_surplus
 from .equilibrium import RatioEstimate, disjoint_unanimity_families, unanimity_profile
-
-MAX_EXACT_PARTS = 8
-MAX_ORACLE_GOODS = 12
 
 _ZERO = 0
 
@@ -189,7 +188,9 @@ def max_feasible_family(partition: Partition) -> FamilySearchResult:
     """
     k = partition.k
     if k > MAX_EXACT_PARTS:
-        raise BudgetExceededError(f"exact family search capped at k <= {MAX_EXACT_PARTS}")
+        raise BudgetExceededError(
+            f"exact family search capped at k <= {MAX_EXACT_PARTS} parts, got k = {k}"
+        )
     sizes = partition.sizes
     order = sorted(range(k), key=lambda l: (-sizes[l], l))
     caps_sorted = tuple(sizes[l] for l in order)
@@ -222,7 +223,9 @@ def ratio_oracle(partition: Partition) -> RatioEstimate:
     """
     universe = partition.universe
     if universe.m > MAX_ORACLE_GOODS:
-        raise BudgetExceededError(f"oracle sweep capped at m <= {MAX_ORACLE_GOODS} goods")
+        raise BudgetExceededError(
+            f"oracle sweep capped at m <= {MAX_ORACLE_GOODS} goods, got m = {universe.m}"
+        )
     parts = partition.parts
     family = field_of_partition(partition)
     best = RatioEstimate(Fraction(1), None)

@@ -61,7 +61,7 @@ def _parse_valuation(universe: GoodsUniverse, doc: Any) -> Valuation:
         _require(isinstance(values, dict), 'dense valuation needs a "values" object')
         if universe.m > DENSE_GOODS_CAP:
             raise BudgetExceededError(
-                f"dense valuations are capped at m <= {DENSE_GOODS_CAP} goods"
+                f"dense valuations are capped at m <= {DENSE_GOODS_CAP} goods, got m = {universe.m}"
             )
         table = [0] * (universe.full_mask + 1)
         for bundle_str, raw in values.items():

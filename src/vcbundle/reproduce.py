@@ -10,7 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .core import BundleFamily, GoodsUniverse, InvalidInputError, exact_ratio, partition_from_sizes
+from .core import (
+    MAX_EXACT_PARTS, BundleFamily, GoodsUniverse, InvalidInputError, exact_ratio, partition_from_sizes
+)
 from .sigma import classify_family, field_of_partition, project_profile
 from .auction import TieBreak, max_surplus, run_vc, sigma_optimal_surplus
 from .equilibrium import (
@@ -43,7 +45,6 @@ TARGETS = (
     "remark2",
 )
 
-MAX_SOLVER_PARTS = 8
 MAX_ENGINE_ORDER = 3  # largest plane order whose ratio runs through the engine
 
 
@@ -202,7 +203,7 @@ def _thm4(q: int) -> dict:
     checks.append(Check("lines_feasible_with_size", str(k), str(family.s)))
     part = partition_from_sizes([q + 1] * k)
     checks.append(Check("upper_bound_equals_k", str(k), _frac(feasible_family_bound(part))))
-    if k <= MAX_SOLVER_PARTS:
+    if k <= MAX_EXACT_PARTS:
         res = max_feasible_family(part)
         checks.append(Check("solver_ratio", str(k), str(res.s)))
         family = res.family

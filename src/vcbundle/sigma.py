@@ -19,6 +19,8 @@ from .core import (
     unanimity_valuation,
     zero_valuation,
     DENSE_GOODS_CAP,
+    FAMILY_ENUM_GOODS_CAP,
+    FIELD_PARTS_CAP,
 )
 
 
@@ -73,8 +75,10 @@ def is_quasi_field(family: BundleFamily) -> bool:
 
 def field_of_partition(partition: Partition) -> BundleFamily:
     """All 2^k unions of parts, including the empty bundle and all goods."""
-    if partition.k > 20:
-        raise BudgetExceededError("partition field would hold 2^k > 2^20 bundles")
+    if partition.k > FIELD_PARTS_CAP:
+        raise BudgetExceededError(
+            f"partition field capped at k <= {FIELD_PARTS_CAP} parts, got k = {partition.k}"
+        )
     unions = {0}
     for part in partition.parts:
         unions |= {u | part for u in unions}
@@ -121,6 +125,13 @@ def partition_of_family(family: BundleFamily) -> Partition | None:
     return Partition(universe, tuple(parts))
 
 
+def _minimal_supersets(atom: Bundle, bundles) -> list[Bundle]:
+    """The inclusion-minimal members of ``bundles`` that contain ``atom``, in
+    the given order."""
+    sups = [c for c in bundles if c & atom == atom]
+    return [c for c in sups if not any(o != c and o & c == o for o in sups)]
+
+
 def project_valuation(v: Valuation, family: BundleFamily) -> Valuation:
     """v^Σ(B) = max value of a family bundle contained in B.
 
@@ -136,14 +147,12 @@ def project_valuation(v: Valuation, family: BundleFamily) -> Valuation:
             return zero_valuation(v.universe)
         if len(live) == 1:
             atom, weight = live[0]
-            supersets = [c for c in family.sorted_bundles if c & atom == atom]
-            minimal = [
-                c for c in supersets if not any(o != c and o & c == o for o in supersets)
-            ]
+            minimal = _minimal_supersets(atom, family.sorted_bundles)
             return Valuation.from_atoms(v.universe, ((c, weight) for c in minimal))
         if v.universe.m > DENSE_GOODS_CAP:
             raise BudgetExceededError(
-                "projection of a multi-atom valuation needs a dense table (m <= 14)"
+                "projection of a multi-atom valuation needs a dense table: capped at "
+                f"m <= {DENSE_GOODS_CAP} goods, got m = {v.universe.m}"
             )
         v = v.to_dense()
     # Subset-max sweep: start from the family members' own values and push
@@ -251,8 +260,10 @@ def enumerate_families(universe: GoodsUniverse, max_bundles: int | None = None):
     Exponential in 2^m; intended for m <= 4 test sweeps.
     """
     m = universe.m
-    if m > 4:
-        raise BudgetExceededError("family enumeration is limited to m <= 4")
+    if m > FAMILY_ENUM_GOODS_CAP:
+        raise BudgetExceededError(
+            f"family enumeration capped at m <= {FAMILY_ENUM_GOODS_CAP} goods, got m = {m}"
+        )
     nonempty = list(range(1, universe.full_mask + 1))
     limit = len(nonempty) if max_bundles is None else min(max_bundles - 1, len(nonempty))
 

@@ -16,7 +16,6 @@ from vcbundle import (
     max_surplus,
     optimal_allocation,
     partition_from_sizes,
-    profile_of,
     project_profile,
     run_vc,
     sigma_optimal_surplus,
@@ -37,14 +36,14 @@ def w(universe, text, weight=1):
 
 class TestOptimalAllocation:
     def test_two_singleton_buyers(self, u2):
-        prof = profile_of(u2, w(u2, "a"), w(u2, "b"))
+        prof = Profile(u2, (w(u2, "a"), w(u2, "b")))
         alloc, s_max = optimal_allocation(prof)
         assert s_max == 2
         assert alloc.buyer_bundles == (1, 2)
 
     def test_single_buyer_gets_optimal_value(self, u4):
         v = w(u4, "ab", 3)
-        alloc, s_max = optimal_allocation(profile_of(u4, v))
+        alloc, s_max = optimal_allocation(Profile(u4, (v,)))
         assert s_max == v.value(u4.full_mask) == 3
         # canonical keeps surplus-irrelevant goods with the seller
         assert alloc.buyer_bundles == (u4.parse_bundle("ab"),)
@@ -144,7 +143,7 @@ class TestOptimalAllocation:
     def test_atom_budget(self):
         universe = GoodsUniverse.of_size(10)
         atoms = [(1 << (i % 10), 1) for i in range(70)]
-        prof = profile_of(universe, Valuation.from_atoms(universe, atoms))
+        prof = Profile(universe, (Valuation.from_atoms(universe, atoms),))
         with pytest.raises(BudgetExceededError):
             max_surplus(prof)
 
@@ -222,7 +221,7 @@ class TestPackingKernel:
 
 class TestSigmaOptimalSurplus:
     def test_trivial_family_serves_one_buyer(self, u2):
-        prof = profile_of(u2, w(u2, "a"), w(u2, "b"))
+        prof = Profile(u2, (w(u2, "a"), w(u2, "b")))
         fam = BundleFamily.of(u2, [u2.full_mask])
         alloc, s = sigma_optimal_surplus(prof, fam)
         assert s == 1
@@ -267,19 +266,19 @@ class TestSigmaOptimalSurplus:
     def test_partition_route_matches_generic(self, u4):
         part = partition_from_sizes([2, 2], u4)
         fam = field_of_partition(part)
-        prof = profile_of(u4, w(u4, "ab"), w(u4, "c"), w(u4, "ad", 2))
+        prof = Profile(u4, (w(u4, "ab"), w(u4, "c"), w(u4, "ad", 2)))
         _, s = sigma_optimal_surplus(prof, fam)
         assert s == brute_force_sigma_surplus(prof, fam.bundles)
 
 
 class TestPayments:
     def test_disjoint_buyers_pay_nothing(self, u2):
-        prof = profile_of(u2, w(u2, "a"), w(u2, "b"))
+        prof = Profile(u2, (w(u2, "a"), w(u2, "b")))
         assert clarke_payment(prof, 0) == 0
         assert clarke_payment(prof, 1) == 0
 
     def test_both_want_everything(self, u2):
-        prof = profile_of(u2, w(u2, "ab"), w(u2, "ab"))
+        prof = Profile(u2, (w(u2, "ab"), w(u2, "ab")))
         out = run_vc(prof)
         winner = next(i for i, b in enumerate(out.allocation.buyer_bundles) if b)
         loser = 1 - winner
@@ -287,22 +286,22 @@ class TestPayments:
         assert out.payments[loser] == 0
 
     def test_single_buyer_pays_nothing(self, u4):
-        assert clarke_payment(profile_of(u4, w(u4, "abcd", 9)), 0) == 0
+        assert clarke_payment(Profile(u4, (w(u4, "abcd", 9),)), 0) == 0
 
 
 class TestRunVC:
     def test_truthful_outcome(self, u2):
-        out = run_vc(profile_of(u2, w(u2, "a"), w(u2, "b")))
+        out = run_vc(Profile(u2, (w(u2, "a"), w(u2, "b"))))
         assert (out.surplus, out.revenue) == (2, 0)
 
     def test_projection_reporting_onto_trivial_partition(self, u2):
-        prof = profile_of(u2, w(u2, "a"), w(u2, "b"))
+        prof = Profile(u2, (w(u2, "a"), w(u2, "b")))
         fam = field_of_partition(partition_from_sizes([2], u2))
         out = run_vc(project_profile(prof, fam), true_profile=prof)
         assert (out.surplus, out.revenue) == (1, 1)
 
     def test_four_buyer_variant(self, u2):
-        prof = profile_of(u2, w(u2, "a"), w(u2, "b"), w(u2, "a"), w(u2, "b"))
+        prof = Profile(u2, (w(u2, "a"), w(u2, "b"), w(u2, "a"), w(u2, "b")))
         out = run_vc(prof)
         assert (out.surplus, out.revenue) == (2, 2)
         fam = field_of_partition(partition_from_sizes([2], u2))

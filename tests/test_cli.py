@@ -130,3 +130,35 @@ class TestDeterminismAndGoldens:
         proc = cli(*argv)
         assert proc.returncode == 0
         assert proc.stdout == (GOLDENS / name).read_bytes()
+
+
+class TestBudgetExits:
+    def test_atom_budget_exits_2_without_traceback(self, tmp_path):
+        # Valuing the awarded bundle packs 1200 atoms; uncapped, that recursion
+        # overflowed the interpreter stack.
+        goods = [chr(ord("a") + i) for i in range(10)]
+        atoms = [{"bundle": goods[i % 10], "weight": 1} for i in range(1200)]
+        doc = {
+            "goods": goods,
+            "valuations": [{"kind": "dense", "values": {}}, {"kind": "atoms", "atoms": atoms}],
+        }
+        path = tmp_path / "many-atoms.json"
+        path.write_text(json.dumps(doc))
+        proc = cli("auction", "--instance", str(path))
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        assert b"64" in proc.stderr and b"1200" in proc.stderr
+
+    def test_sweep_budget_names_limit_and_size(self, tmp_path):
+        path = tmp_path / "nine-goods.json"
+        path.write_text(json.dumps({"goods": list("abcdefghi"), "bundles": ["abcdefghi"]}))
+        proc = cli("analyze-sigma", "--family", str(path))
+        assert proc.returncode == 2
+        assert b"m <= 8" in proc.stderr and b"m = 9" in proc.stderr
+
+
+def test_partition_shapes_script_reports_minimum(capsys):
+    from scripts.partition_shapes import main
+
+    assert main(["--m", "6", "--k", "3"]) == 0
+    assert "minimum ratio over 3 shapes: 3," in capsys.readouterr().out
