@@ -11,6 +11,7 @@ picks this optimum" as an operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .core import (
     Allocation,
@@ -93,16 +94,24 @@ def _dense_rows(profile: Profile, costs):
 
     Without tie costs a row holds plain surplus values; with them it holds
     (surplus, minus total cost) pairs, maximized lexicographically.
+
+    Only the middle rows take the 3^m pass.  The last buyer's row is a
+    submask maximum (m * 2^m steps), and row 0 is needed at the full goods
+    set only (2^m steps), so it is the one-entry mapping ``{full: best}``.
     """
     m = profile.universe.m
     if m > DENSE_GOODS_CAP:
         raise BudgetExceededError(
             f"dense winner determination capped at m <= {DENSE_GOODS_CAP} goods, got m = {m}"
         )
-    size = profile.universe.full_mask + 1
+    full = profile.universe.full_mask
+    size = full + 1
+    n = profile.n
     tables = [v.to_dense().table for v in profile.valuations]
     rows = [[_ZERO] * size if costs is None else [(_ZERO, 0)] * size]
-    for i in range(profile.n - 1, -1, -1):
+    if n > 1:
+        rows.insert(0, _submask_max(tables[-1], None if costs is None else costs[-1]))
+    for i in range(n - 2, 0, -1):
         nxt = rows[0]
         vals = tables[i]
         cur = []
@@ -130,7 +139,33 @@ def _dense_rows(profile: Profile, costs):
                     t = (t - 1) & s
                 cur.append(best)
         rows.insert(0, cur)
+    # Buyer 0 takes T and the rest share full ^ T, which is index T of the
+    # reversed row.
+    rest = reversed(rows[0])
+    if costs is None:
+        best = max(map(add, tables[0], rest))
+    else:
+        cost = map(costs[0], range(size))
+        best = max((v + r[0], r[1] - c) for v, r, c in zip(tables[0], rest, cost))
+    rows.insert(0, {full: best})
     return tables, rows
+
+
+def _submask_max(vals, cost):
+    """``row[S]`` = the max over T inside S of ``vals[T]``, or of
+    ``(vals[T], -cost(T))`` with a cost: one buyer alone on S, by a
+    bit-by-bit sweep."""
+    row = list(vals) if cost is None else [(v, -cost(t)) for t, v in enumerate(vals)]
+    size = len(row)
+    bit = 1
+    while bit < size:
+        for high in range(bit, size, bit << 1):
+            for s in range(high, high + bit):
+                lower = row[s ^ bit]
+                if lower > row[s]:
+                    row[s] = lower
+        bit <<= 1
+    return row
 
 
 def _dense_solve(profile: Profile, tie: TieBreak, reference: Profile | None):
@@ -224,7 +259,7 @@ def max_surplus(profile: Profile) -> Value:
         atoms = _atom_list(profile)
         return max_packing([(mask, w) for _, mask, w in atoms], profile.universe.full_mask)
     _, rows = _dense_rows(profile, None)
-    return rows[0][-1]
+    return rows[0][profile.universe.full_mask]
 
 
 def optimal_allocation(
@@ -367,23 +402,20 @@ class AuctionOutcome:
             raise InternalInvariantError("revenue must equal total payments")
 
 
-def _others_value(profile: Profile, i: int) -> Value:
-    """g_i: the best surplus the other buyers could achieve among themselves."""
+def _payment_at(profile: Profile, i: int, others_at: Value) -> Value:
+    """Buyer i's pivot payment: the best surplus the others achieve among
+    themselves, minus ``others_at``, their value at the allocation."""
     rest = profile.drop(i)
-    if rest is None:
-        return _ZERO
-    return max_surplus(rest)
-
-
-def _payment_at(profile: Profile, i: int, allocation: Allocation) -> Value:
-    others_at = _ZERO
-    for j, (v, mask) in enumerate(zip(profile.valuations, allocation.buyer_bundles)):
-        if j != i:
-            others_at += v.value(mask)
-    payment = _others_value(profile, i) - others_at
+    payment = (_ZERO if rest is None else max_surplus(rest)) - others_at
     if payment < 0:
         raise InternalInvariantError("pivot payment came out negative")
     return payment
+
+
+def _values_at(profile: Profile, allocation: Allocation) -> tuple[Value, ...]:
+    return tuple(
+        v.value(mask) for v, mask in zip(profile.valuations, allocation.buyer_bundles)
+    )
 
 
 def clarke_payment(
@@ -394,7 +426,8 @@ def clarke_payment(
 ) -> Value:
     """Externality payment of buyer i at the tie-chosen optimal allocation."""
     allocation, _ = optimal_allocation(profile, tie, reference)
-    return _payment_at(profile, i, allocation)
+    values = _values_at(profile, allocation)
+    return _payment_at(profile, i, sum(values, _ZERO) - values[i])
 
 
 def run_vc(
@@ -412,13 +445,13 @@ def run_vc(
     if tie.kind == "adversarial":
         reference = true_profile if true_profile is not None else reported
     allocation, reported_surplus = optimal_allocation(reported, tie, reference)
-    payments = tuple(_payment_at(reported, i, allocation) for i in range(reported.n))
-    measure = true_profile if true_profile is not None else reported
-    if measure.n != reported.n or measure.universe != reported.universe:
-        raise InvalidInputError("true profile shape mismatch")
-    values = tuple(
-        v.value(mask) for v, mask in zip(measure.valuations, allocation.buyer_bundles)
-    )
+    values = _values_at(reported, allocation)
+    total = sum(values, _ZERO)
+    payments = tuple(_payment_at(reported, i, total - v) for i, v in enumerate(values))
+    if true_profile is not None:
+        if true_profile.n != reported.n or true_profile.universe != reported.universe:
+            raise InvalidInputError("true profile shape mismatch")
+        values = _values_at(true_profile, allocation)
     surplus = sum(values, _ZERO)
     revenue = sum(payments, _ZERO)
     utilities = tuple(val - pay for val, pay in zip(values, payments))

@@ -117,7 +117,8 @@ class GoodsUniverse:
     def parse_bundle(self, text: str) -> Bundle:
         """Parse concatenated labels ("abc"); "" is the empty bundle.
 
-        At each position the longest label that matches is taken.
+        At each position the longest label that matches is taken.  A
+        string that names a good twice is rejected.
         """
         mask = 0
         pos = 0
@@ -129,6 +130,9 @@ class GoodsUniverse:
             for length in self._label_lengths:
                 bit = bits.get(text[pos : pos + length])
                 if bit is not None:
+                    if mask & bit:
+                        label = text[pos : pos + length]
+                        raise InvalidInputError(f"bundle string {text!r} names {label!r} twice")
                     mask |= bit
                     pos += length
                     break

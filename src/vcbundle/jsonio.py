@@ -64,9 +64,14 @@ def _parse_valuation(universe: GoodsUniverse, doc: Any) -> Valuation:
                 f"dense valuations are capped at m <= {DENSE_GOODS_CAP} goods, got m = {universe.m}"
             )
         table = [0] * (universe.full_mask + 1)
+        keys: dict[int, str] = {}
         for bundle_str, raw in values.items():
             _require(isinstance(bundle_str, str), "bundle keys must be strings")
-            table[universe.parse_bundle(bundle_str)] = as_value(raw)
+            mask = universe.parse_bundle(bundle_str)
+            first = keys.setdefault(mask, bundle_str)
+            if first != bundle_str:
+                raise InvalidInputError(f"dense keys {first!r} and {bundle_str!r} name one bundle")
+            table[mask] = as_value(raw)
         v = Valuation(universe, table=tuple(table))
     elif kind == "atoms":
         atoms_doc = doc.get("atoms")

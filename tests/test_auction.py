@@ -27,6 +27,7 @@ from conftest import (
     brute_force_packing,
     brute_force_sigma_surplus,
     small_profiles,
+    sparse_valuations,
 )
 
 
@@ -217,6 +218,79 @@ class TestPackingKernel:
         finally:
             if enabled:
                 gc.enable()
+
+
+@st.composite
+def raw_tables(draw, universe: GoodsUniverse) -> Valuation:
+    """A dense table with v(empty) = 0 and other entries drawn freely, so it
+    is usually not monotone (API-built valuations skip that check)."""
+    size = universe.full_mask + 1
+    rest = draw(st.lists(st.integers(0, 6), min_size=size - 1, max_size=size - 1))
+    return Valuation(universe, table=(0, *rest))
+
+
+@st.composite
+def raw_mixed_profiles(draw) -> Profile:
+    """m <= 4 goods, 1-4 buyers: raw dense tables and atom valuations, with at
+    least one raw table so the dense route runs."""
+    universe = GoodsUniverse.of_size(draw(st.integers(1, 4)))
+    n = draw(st.integers(1, 4))
+    dense_at = draw(st.integers(0, n - 1))
+    vals = []
+    for i in range(n):
+        if i == dense_at or draw(st.booleans()):
+            vals.append(draw(raw_tables(universe)))
+        else:
+            vals.append(draw(sparse_valuations(universe)))
+    return Profile(universe, tuple(vals))
+
+
+class TestNonMonotoneTables:
+    """The dense DP (one-, two- and many-buyer paths) against brute force on
+    tables that are not monotone."""
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_dense_route_matches_brute_force(self, data):
+        profile = data.draw(raw_mixed_profiles())
+        universe = profile.universe
+        n = profile.n
+        reference = Profile(universe, tuple(data.draw(raw_tables(universe)) for _ in range(n)))
+        best, optima = brute_force_optima(profile)
+        assert max_surplus(profile) == best
+
+        def surplus_of(prof, masks):
+            return sum((v.value(b) for v, b in zip(prof.valuations, masks)), Fraction(0))
+
+        def goods_used(masks):
+            used = 0
+            for b in masks:
+                used |= b
+            return bin(used).count("1")
+
+        canonical = min(optima)
+        expected = {
+            "canonical": canonical,
+            "seller": min(optima, key=lambda masks: (goods_used(masks), masks)),
+            "adversarial": min(optima, key=lambda masks: (surplus_of(reference, masks), masks)),
+        }
+        buyer = data.draw(st.integers(0, n - 1))
+        for tie in (TieBreak.canonical(), TieBreak.seller_favoring(), TieBreak.adversarial_to(buyer)):
+            alloc, s_max = optimal_allocation(profile, tie, reference)
+            assert s_max == best
+            assert alloc.buyer_bundles == expected[tie.kind]
+
+            # run_vc's adversarial reference is the reported profile, on which
+            # every optimum ties, so it picks the canonical optimum.
+            outcome = run_vc(profile, tie)
+            chosen = outcome.allocation.buyer_bundles
+            assert chosen == (canonical if tie.kind == "adversarial" else expected[tie.kind])
+            assert outcome.surplus == best
+            for i in range(n):
+                rest = profile.drop(i)
+                without_i = 0 if rest is None else brute_force_optima(rest)[0]
+                others_at = surplus_of(profile, chosen) - profile.valuations[i].value(chosen[i])
+                assert outcome.payments[i] == without_i - others_at
 
 
 class TestSigmaOptimalSurplus:

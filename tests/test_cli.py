@@ -115,6 +115,18 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert b"Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("valuation", [
+        '{"kind": "dense", "values": {"ab": 1, "ba": 2}}',
+        '{"kind": "dense", "values": {"aa": 1, "ab": 1}}',
+        '{"kind": "atoms", "atoms": [{"bundle": "bab", "weight": 1}]}',
+    ])
+    def test_ambiguous_bundle_keys_are_invalid_input(self, tmp_path, valuation):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"goods": ["a", "b"], "valuations": [%s]}' % valuation)
+        proc = cli("auction", "--instance", str(bad))
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+
 
 class TestDeterminismAndGoldens:
     def test_byte_identical_reruns(self):

@@ -35,6 +35,14 @@ class TestUniverse:
         with pytest.raises(InvalidInputError):
             u4.parse_bundle("ax")
 
+    def test_parse_rejects_repeated_label(self, u4):
+        for text in ("aa", "aba", "abcdd"):
+            with pytest.raises(InvalidInputError, match="'[ad]' twice"):
+                u4.parse_bundle(text)
+        wide = GoodsUniverse.of_size(30)
+        with pytest.raises(InvalidInputError, match="'g27' twice"):
+            wide.parse_bundle("g27g3g27")
+
     def test_large_universe_labels(self):
         u = GoodsUniverse.of_size(30)
         assert u.labels[26] == "g26"

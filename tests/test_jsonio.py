@@ -51,6 +51,16 @@ def test_invalid_dense_table_rejected():
         parse_instance(doc)
 
 
+def test_duplicate_dense_keys_rejected():
+    doc = {
+        "goods": ["a", "b"],
+        "valuations": [{"kind": "dense", "values": {"ab": 2, "a": 1, "ba": 3}}],
+    }
+    # "ab" and "ba" name one bundle; neither value may silently win
+    with pytest.raises(InvalidInputError, match="'ab' and 'ba'"):
+        parse_instance(doc)
+
+
 def test_unknown_kind_rejected():
     doc = {"goods": ["a"], "valuations": [{"kind": "xor", "bids": []}]}
     with pytest.raises(InvalidInputError):
