@@ -28,6 +28,7 @@ from .core import (
     Value,
     max_packing,
     popcount,
+    submask_max,
     DENSE_GOODS_CAP,
 )
 from .sigma import _minimal_supersets, partition_of_family
@@ -110,7 +111,7 @@ def _dense_rows(profile: Profile, costs):
     tables = [v.to_dense().table for v in profile.valuations]
     rows = [[_ZERO] * size if costs is None else [(_ZERO, 0)] * size]
     if n > 1:
-        rows.insert(0, _submask_max(tables[-1], None if costs is None else costs[-1]))
+        rows.insert(0, submask_max(tables[-1], None if costs is None else costs[-1]))
     for i in range(n - 2, 0, -1):
         nxt = rows[0]
         vals = tables[i]
@@ -149,23 +150,6 @@ def _dense_rows(profile: Profile, costs):
         best = max((v + r[0], r[1] - c) for v, r, c in zip(tables[0], rest, cost))
     rows.insert(0, {full: best})
     return tables, rows
-
-
-def _submask_max(vals, cost):
-    """``row[S]`` = the max over T inside S of ``vals[T]``, or of
-    ``(vals[T], -cost(T))`` with a cost: one buyer alone on S, by a
-    bit-by-bit sweep."""
-    row = list(vals) if cost is None else [(v, -cost(t)) for t, v in enumerate(vals)]
-    size = len(row)
-    bit = 1
-    while bit < size:
-        for high in range(bit, size, bit << 1):
-            for s in range(high, high + bit):
-                lower = row[s ^ bit]
-                if lower > row[s]:
-                    row[s] = lower
-        bit <<= 1
-    return row
 
 
 def _dense_solve(profile: Profile, tie: TieBreak, reference: Profile | None):
@@ -320,7 +304,6 @@ def sigma_optimal_surplus(profile: Profile, family: BundleFamily) -> tuple[Alloc
         return _partition_surplus(profile, partition)
 
     bundles = [b for b in family.sorted_bundles if b]
-    valuations = profile.valuations
     n = profile.n
 
     def candidates_for(v: Valuation) -> list[Bundle]:
@@ -337,17 +320,17 @@ def sigma_optimal_surplus(profile: Profile, family: BundleFamily) -> tuple[Alloc
             return bundles
         return _minimal_supersets(live[0][0], bundles)
 
-    per_buyer = [candidates_for(v) for v in valuations]
-    value_cache: dict[tuple[int, Bundle], Value] = {}
-
-    def val(i: int, mask: Bundle) -> Value:
-        key = (i, mask)
-        got = value_cache.get(key)
-        if got is None:
-            got = valuations[i].value(mask)
-            value_cache[key] = got
-        return got
-
+    # Per buyer, the (bundle, value) pairs worth more than 0, in ascending
+    # mask order: a bundle worth 0 or less never beats the empty bundle,
+    # because solve is monotone in ``free``.
+    options = []
+    for v in profile.valuations:
+        pairs = []
+        for c in candidates_for(v):
+            w = v.value(c)
+            if w > 0:
+                pairs.append((c, w))
+        options.append(pairs)
     best_cache: dict[tuple[int, int], Value] = {}
 
     def solve(i: int, free: int) -> Value:
@@ -358,9 +341,9 @@ def sigma_optimal_surplus(profile: Profile, family: BundleFamily) -> tuple[Alloc
         if got is not None:
             return got
         best = solve(i + 1, free)  # the empty bundle is always in the family
-        for c in per_buyer[i]:
+        for c, w in options[i]:
             if c & free == c:
-                cand = val(i, c) + solve(i + 1, free ^ c)
+                cand = w + solve(i + 1, free ^ c)
                 if cand > best:
                     best = cand
         best_cache[key] = best
@@ -376,8 +359,8 @@ def sigma_optimal_surplus(profile: Profile, family: BundleFamily) -> tuple[Alloc
         if solve(i + 1, free) == target:
             chosen = 0  # canonical: the empty bundle comes first
         else:
-            for c in per_buyer[i]:  # ascending mask order
-                if c & free == c and val(i, c) + solve(i + 1, free ^ c) == target:
+            for c, w in options[i]:
+                if c & free == c and w + solve(i + 1, free ^ c) == target:
                     chosen = c
                     break
         if chosen is None:

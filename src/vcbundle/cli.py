@@ -50,7 +50,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -195,7 +195,7 @@ def _cmd_project(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     if args.target == "all":
-        report = run_all(seed=args.seed)
+        report = run_all(seed=args.seed, q=args.q)
         reports = report["targets"]
     else:
         report = run_target(args.target, q=args.q, seed=args.seed)
@@ -217,7 +217,6 @@ def build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized profile generation")
 
     p = sub.add_parser("auction", help="run the mechanism on a JSON instance")
     p.add_argument("--instance", required=True)
@@ -229,8 +228,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze-sigma", help="classify a family and verify stability")
     p.add_argument("--family", required=True)
     p.add_argument("--profiles", default="sweep", help="sweep | random:N")
-    p.add_argument("--mode", default="adversarial",
-                   help="adversarial | canonical | seller tie-breaking for the sweep")
+    p.add_argument("--mode", choices=("adversarial", "canonical", "seller"), default="adversarial",
+                   help="tie-breaking for the sweep")
+    p.add_argument("--seed", type=int, default=0, help="seed for --profiles random:N")
     add_common(p)
     p.set_defaults(func=_cmd_analyze_sigma)
 
@@ -255,6 +255,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reproduce", help="re-run a bundled reference scenario")
     p.add_argument("target", choices=TARGETS + ("all",))
     p.add_argument("--q", type=int, default=2, help="plane order for the thm4 target")
+    p.add_argument("--seed", type=int, default=0, help="seed for remark1's random profiles")
     add_common(p)
     p.set_defaults(func=_cmd_reproduce)
 

@@ -29,6 +29,8 @@ SWEEP_GOODS_CAP = 8  # goods in the CLI's disjoint-unanimity sweep
 FIELD_PARTS_CAP = 20  # parts of a partition whose 2^k-bundle field is built
 FAMILY_ENUM_GOODS_CAP = 4  # goods in the exhaustive bundle-family enumeration
 
+MAX_DECIMAL_EXPONENT = 4300  # |exponent| of a decimal value string: the int-string digit limit
+
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -55,14 +57,21 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of ``mask``, descending, ending with 0."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
+def submask_max(vals, cost=None) -> list:
+    """``row[S]`` = the max over T inside S of ``vals[T]``, or of
+    ``(vals[T], -cost(T))`` with a cost, by a bit-by-bit sweep (m * 2^m
+    steps) over a table indexed by bundle mask."""
+    row = list(vals) if cost is None else [(v, -cost(t)) for t, v in enumerate(vals)]
+    size = len(row)
+    bit = 1
+    while bit < size:
+        for high in range(bit, size, bit << 1):
+            for s in range(high, high + bit):
+                lower = row[s ^ bit]
+                if lower > row[s]:
+                    row[s] = lower
+        bit <<= 1
+    return row
 
 
 @dataclass(frozen=True)
@@ -169,6 +178,9 @@ def as_value(value) -> Value:
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, str):
+        exponent = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        if exponent.isdecimal() and (len(exponent) > 4 or int(exponent) > MAX_DECIMAL_EXPONENT):
+            raise InvalidInputError(f"value {value!r} has a decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
         try:
             return as_value(Fraction(value))
         except (ValueError, ZeroDivisionError):

@@ -19,6 +19,7 @@ from .core import (
     Valuation,
     Value,
     exact_ratio,
+    submask_max,
     unanimity_valuation,
 )
 from .sigma import (
@@ -50,20 +51,7 @@ def deviation_gap(
     """
     if not 0 <= buyer < profile.n:
         raise InvalidInputError("buyer index out of range")
-    projected = project_profile(profile, family)
-    hybrid = projected.replace(buyer, profile.valuations[buyer])
-    truthful_best = max_surplus(hybrid)
-    if tie is None:
-        allocation, _ = optimal_allocation(
-            projected, TieBreak.adversarial_to(buyer), reference=hybrid
-        )
-    else:
-        reference = hybrid if tie.kind == "adversarial" else None
-        allocation, _ = optimal_allocation(projected, tie, reference=reference)
-    gap = truthful_best - allocation.surplus(hybrid)
-    if gap < 0:
-        raise InternalInvariantError("deviation gap must be nonnegative")
-    return gap
+    return _max_gap(family, profile, (buyer,), (tie,))
 
 
 def max_profile_gap(
@@ -71,42 +59,36 @@ def max_profile_gap(
     profile: Profile,
     ties: tuple[TieBreak | None, ...] = (None, TieBreak.canonical()),
 ) -> Value:
-    """Largest deviation gap over all buyers and the given tie-break modes.
+    """Largest deviation gap over all buyers and the given tie-break modes
+    (None or adversarial: against each buyer in turn)."""
+    return _max_gap(family, profile, range(profile.n), ties)
 
-    Same quantity as maximizing deviation_gap, but the projection and every
-    fixed-tie winner determination are shared across buyers: buyers whose
-    valuation equals its own projection have the truthful best-reply surplus
-    equal to the restricted optimum, so for them it suffices to confirm (via
-    two shared solves) that the mechanism's pick is restricted-optimal.
+
+def _max_gap(family: BundleFamily, profile: Profile, buyers, ties) -> Value:
+    """Largest deviation gap over ``buyers`` and ``ties``.
+
+    The projection and each fixed-tie winner determination are shared across
+    buyers.  A buyer whose valuation equals its own projection has the
+    truthful best-reply surplus equal to the restricted optimum, so its gap
+    is 0 once a shared solve confirms that the mechanism's pick is
+    restricted-optimal.
     """
     projected = project_profile(profile, family)
-    truthful_is_projection = [
-        projected.valuations[i] == profile.valuations[i] for i in range(profile.n)
-    ]
+    deviators = [i for i in buyers if projected.valuations[i] != profile.valuations[i]]
     worst = _ZERO
-    shared: dict[str, object] = {}
-
-    def shared_allocation(tie: TieBreak | None):
-        key = "adversarial" if tie is None else tie.kind
-        if key not in shared:
+    for tie in ties:
+        if tie is not None and tie.kind == "adversarial":
+            tie = None
+        if tie is not None or len(deviators) < len(buyers):
             if tie is None:
-                alloc, value = optimal_allocation(
+                fixed_alloc, value = optimal_allocation(
                     projected, TieBreak.adversarial_to(0), reference=projected
                 )
             else:
-                alloc, value = optimal_allocation(projected, tie)
-            if alloc.surplus(projected) != value:
+                fixed_alloc, value = optimal_allocation(projected, tie)
+            if fixed_alloc.surplus(projected) != value:
                 raise InternalInvariantError("mechanism pick lost restricted optimality")
-            shared[key] = alloc
-        return shared[key]
-
-    for tie in ties:
-        fixed_alloc = None if tie is None else shared_allocation(tie)
-        for i in range(profile.n):
-            if truthful_is_projection[i]:
-                # exercised by the shared solves; the gap is identically zero
-                shared_allocation(tie)
-                continue
+        for i in deviators:
             hybrid = projected.replace(i, profile.valuations[i])
             truthful_best = max_surplus(hybrid)
             if tie is None:
@@ -225,12 +207,7 @@ def random_monotone_valuation(
     size = universe.full_mask + 1
     table = [rng.randint(0, max_value) for _ in range(size)]
     table[0] = _ZERO
-    for i in range(universe.m):
-        bit = 1 << i
-        for mask in range(size):
-            if mask & bit and table[mask ^ bit] > table[mask]:
-                table[mask] = table[mask ^ bit]
-    return Valuation(universe, table=tuple(table))
+    return Valuation(universe, table=tuple(submask_max(table)))
 
 
 def random_monotone_profiles(

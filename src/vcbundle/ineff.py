@@ -61,6 +61,17 @@ def closed_form_ratio(partition: Partition) -> int:
     raise InvalidInputError("closed form only covers k <= 3")
 
 
+def _check_intersecting(sets: Sequence[int], k: int) -> None:
+    """Reject sets that are not pairwise-intersecting nonempty subsets of k parts."""
+    for h in sets:
+        if not 0 < h < (1 << k):
+            raise InvalidInputError("sets must be nonempty subsets of the parts")
+    for i, a in enumerate(sets):
+        for b in sets[i + 1 :]:
+            if a & b == 0:
+                raise InvalidInputError("family sets must pairwise intersect")
+
+
 @dataclass(frozen=True)
 class FeasibleFamily:
     """Pairwise-intersecting multiset of part-index sets under size caps."""
@@ -74,13 +85,7 @@ class FeasibleFamily:
             raise InvalidInputError("caps must be positive part sizes")
         if tuple(sorted(self.sets)) != self.sets:
             raise InvalidInputError("sets must be sorted (canonical multiset order)")
-        for h in self.sets:
-            if not 0 < h < (1 << k):
-                raise InvalidInputError("sets must be nonempty subsets of the parts")
-        for i, a in enumerate(self.sets):
-            for b in self.sets[i + 1 :]:
-                if a & b == 0:
-                    raise InvalidInputError("family sets must pairwise intersect")
+        _check_intersecting(self.sets, k)
         for l in range(k):
             load = sum(1 for h in self.sets if h >> l & 1)
             if load > self.caps[l]:
@@ -277,13 +282,7 @@ def check_semi_balanced(sets: Sequence[int], k: int, delta: Sequence) -> SemiBal
     weights = [as_value(d) for d in delta]
     if any(w < 0 for w in weights):
         raise InvalidInputError("weights must be nonnegative")
-    for h in sets:
-        if not 0 < h < (1 << k):
-            raise InvalidInputError("sets must be nonempty subsets of the parts")
-    for i, a in enumerate(sets):
-        for b in sets[i + 1 :]:
-            if a & b == 0:
-                raise InvalidInputError("family sets must pairwise intersect")
+    _check_intersecting(sets, k)
     valid = True
     for l in range(k):
         load = sum((w for h, w in zip(sets, weights) if h >> l & 1), _ZERO)

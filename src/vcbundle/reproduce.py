@@ -13,11 +13,12 @@ from math import comb
 from .core import (
     MAX_EXACT_PARTS, BundleFamily, GoodsUniverse, InvalidInputError, exact_ratio, partition_from_sizes
 )
-from .sigma import classify_family, field_of_partition, project_profile
+from .sigma import classify_family, enumerate_families, field_of_partition, project_profile
 from .auction import TieBreak, max_surplus, run_vc, sigma_optimal_surplus
 from .equilibrium import (
     deviation_gap,
     disjoint_unanimity_profiles,
+    empirical_ratio,
     random_monotone_profiles,
     singleton_profile,
     unanimity_profile,
@@ -32,17 +33,6 @@ from .ineff import (
     plane_family,
     projective_plane,
     verify_plane_axioms,
-)
-
-TARGETS = (
-    "example1",
-    "example2",
-    "example3",
-    "example4",
-    "prop1-table",
-    "thm4",
-    "remark1",
-    "remark2",
 )
 
 MAX_ENGINE_ORDER = 3  # largest plane order whose ratio runs through the engine
@@ -150,10 +140,7 @@ def _example4() -> dict:
         checks.append(
             Check(f"m{m}_half_pair_ratio", "2", _frac(exact_ratio(max_surplus(pair), s_sigma)))
         )
-        worst = Fraction(0)
-        for profile in disjoint_unanimity_profiles(universe):
-            _, s_sig = sigma_optimal_surplus(profile, family)
-            worst = max(worst, exact_ratio(max_surplus(profile), s_sig))
+        worst = empirical_ratio(family, m, disjoint_unanimity_profiles(universe)).ratio
         checks.append(Check(f"m{m}_sweep_ratio_at_most_2", "true", str(worst <= 2).lower()))
     ten = balanced_family(GoodsUniverse.of_size(10))
     checks.append(Check("m10_size_beats_2_to_m_minus_2", "252 < 256", f"{len(ten)} < {2 ** 8}"))
@@ -239,24 +226,19 @@ def _remark1(seed: int) -> dict:
 
 
 def _remark2() -> dict:
-    import itertools
-
     universe = GoodsUniverse.of_size(4)
     base = singleton_profile(universe)
-    nonempty = list(range(1, universe.full_mask + 1))
     quasi_fields = 0
     failures = 0
-    for r in range(len(nonempty) + 1):
-        for extra in itertools.combinations(nonempty, r):
-            family = BundleFamily.of(universe, extra)
-            if not classify_family(family).is_quasi_field:
-                continue
-            quasi_fields += 1
-            _, s_sigma = sigma_optimal_surplus(base, family)
-            k = int(s_sigma)
-            members = [b for b in family.sorted_bundles if b]
-            if _max_disjoint(members) < k or len(family) < 2**k:
-                failures += 1
+    for family in enumerate_families(universe):
+        if not classify_family(family).is_quasi_field:
+            continue
+        quasi_fields += 1
+        _, s_sigma = sigma_optimal_surplus(base, family)
+        k = int(s_sigma)
+        members = [b for b in family.sorted_bundles if b]
+        if _max_disjoint(members) < k or len(family) < 2**k:
+            failures += 1
     checks = [
         Check("quasi_fields_enumerated_m4", "nonzero", "nonzero" if quasi_fields else "zero"),
         Check("partition_and_size_bound_failures", "0", str(failures)),
@@ -276,26 +258,25 @@ def _max_disjoint(members: list[int]) -> int:
     return rec(0, 0)
 
 
+_TARGETS = {
+    "example1": lambda q, seed: _example1(),
+    "example2": lambda q, seed: _example2(),
+    "example3": lambda q, seed: _example3(),
+    "example4": lambda q, seed: _example4(),
+    "prop1-table": lambda q, seed: _prop1_table(),
+    "thm4": lambda q, seed: _thm4(q),
+    "remark1": lambda q, seed: _remark1(seed),
+    "remark2": lambda q, seed: _remark2(),
+}
+TARGETS = tuple(_TARGETS)
+
+
 def run_target(target: str, q: int = 2, seed: int = 0) -> dict:
-    if target == "example1":
-        return _example1()
-    if target == "example2":
-        return _example2()
-    if target == "example3":
-        return _example3()
-    if target == "example4":
-        return _example4()
-    if target == "prop1-table":
-        return _prop1_table()
-    if target == "thm4":
-        return _thm4(q)
-    if target == "remark1":
-        return _remark1(seed)
-    if target == "remark2":
-        return _remark2()
-    raise InvalidInputError(f"unknown reproduce target {target!r}")
+    if target not in _TARGETS:
+        raise InvalidInputError(f"unknown reproduce target {target!r}")
+    return _TARGETS[target](q, seed)
 
 
-def run_all(seed: int = 0) -> dict:
-    reports = [run_target(t, seed=seed) for t in TARGETS]
+def run_all(seed: int = 0, q: int = 2) -> dict:
+    reports = [run_target(t, q=q, seed=seed) for t in TARGETS]
     return {"passed": all(r["passed"] for r in reports), "targets": reports}

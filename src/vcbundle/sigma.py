@@ -16,6 +16,7 @@ from .core import (
     Partition,
     Profile,
     Valuation,
+    submask_max,
     unanimity_valuation,
     zero_valuation,
     DENSE_GOODS_CAP,
@@ -155,19 +156,14 @@ def project_valuation(v: Valuation, family: BundleFamily) -> Valuation:
                 f"m <= {DENSE_GOODS_CAP} goods, got m = {v.universe.m}"
             )
         v = v.to_dense()
-    # Subset-max sweep: start from the family members' own values and push
-    # maxima upward one bit at a time.
+    # Seed the family members with their own values (at least 0), then take
+    # submask maxima.
     table = [0] * (v.universe.full_mask + 1)
     for c in family.bundles:
         val = v.table[c]
         if val > table[c]:
             table[c] = val
-    for i in range(v.universe.m):
-        bit = 1 << i
-        for mask in range(len(table)):
-            if mask & bit and table[mask ^ bit] > table[mask]:
-                table[mask] = table[mask ^ bit]
-    return Valuation(v.universe, table=tuple(table))
+    return Valuation(v.universe, table=tuple(submask_max(table)))
 
 
 def project_profile(profile: Profile, family: BundleFamily) -> Profile:

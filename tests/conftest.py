@@ -37,6 +37,38 @@ def brute_force_optima(profile: Profile):
     return best, optima
 
 
+def brute_force_gap(family, profile: Profile, buyer: int, tie: str) -> Fraction:
+    """Deviation gap of ``buyer`` from first principles: the others report
+    their projections (the best family bundle inside each bundle, found by
+    scanning the family), and the mechanism picks among the projected
+    profile's brute-force optima.  ``tie`` is "adversarial" (the optimum
+    worst for the buyer's true valuation), "canonical" (the least bundle
+    tuple) or "seller" (fewest goods allocated, then the least tuple).
+    """
+    universe = profile.universe
+    projected = []
+    for v in profile.valuations:
+        table = []
+        for mask in range(universe.full_mask + 1):
+            inside = [v.value(c) for c in family.bundles if c & mask == c]
+            table.append(max([ZERO] + inside))
+        projected.append(Valuation(universe, table=tuple(table)))
+    hybrid = list(projected)
+    hybrid[buyer] = profile.valuations[buyer]
+
+    def surplus(masks) -> Fraction:
+        return sum((v.value(b) for v, b in zip(hybrid, masks)), ZERO)
+
+    _, optima = brute_force_optima(Profile(universe, tuple(projected)))
+    if tie == "adversarial":
+        picked = min(surplus(masks) for masks in optima)
+    elif tie == "canonical":
+        picked = surplus(min(optima))
+    else:
+        picked = surplus(min(optima, key=lambda masks: (sum(bin(b).count("1") for b in masks), masks)))
+    return brute_force_optima(Profile(universe, tuple(hybrid)))[0] - picked
+
+
 def brute_force_sigma_surplus(profile: Profile, bundles) -> Fraction:
     """Best surplus over assignments of family bundles to buyers, by direct
     recursion over the family (no meta-good reduction, no projections)."""

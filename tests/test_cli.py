@@ -83,6 +83,12 @@ class TestSubcommands:
         assert proc.returncode == 0
         assert b"[PASS] example2" in proc.stderr
 
+    def test_reproduce_all_honours_q(self):
+        proc = cli("reproduce", "all", "--q", "3")
+        assert proc.returncode == 0
+        targets = [report["target"] for report in json.loads(proc.stdout)["targets"]]
+        assert "thm4-q3" in targets and "thm4-q2" not in targets
+
 
 class TestExitCodes:
     def test_missing_file_is_invalid_input(self):
@@ -98,6 +104,16 @@ class TestExitCodes:
     def test_unsupported_plane_order(self):
         assert cli("plane", "--q", "4").returncode == 1
 
+    def test_seed_is_rejected_where_nothing_reads_it(self):
+        assert cli("plane", "--q", "2", "--seed", "3").returncode == 1
+
+    def test_mode_names_its_choices(self):
+        family = INSTANCES / "four-good-family.json"
+        proc = cli("analyze-sigma", "--family", str(family), "--mode", "adversarial:1")
+        assert proc.returncode == 1
+        assert b"adversarial" in proc.stderr and b"canonical" in proc.stderr and b"seller" in proc.stderr
+        assert b"reference profile" not in proc.stderr
+
     def test_invalid_instance_contents(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"goods": ["a"], "valuations": [{"kind": "dense", "values": {"a": -1}}]}')
@@ -111,6 +127,19 @@ class TestExitCodes:
     def test_non_finite_numbers_are_invalid_input(self, tmp_path, valuation):
         bad = tmp_path / "bad.json"
         bad.write_text('{"goods": ["a"], "valuations": [%s]}' % valuation)
+        proc = cli("auction", "--instance", str(bad))
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "weight", ["1" + "0" * 4999, '"1e1000000"'], ids=["5000-digit-integer", "huge-exponent"]
+    )
+    def test_oversized_numbers_are_invalid_input(self, tmp_path, weight):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"goods": ["a"], "valuations": [{"kind": "atoms", "atoms": [{"bundle": "a", "weight": %s}]}]}'
+            % weight
+        )
         proc = cli("auction", "--instance", str(bad))
         assert proc.returncode == 1
         assert b"Traceback" not in proc.stderr

@@ -27,6 +27,7 @@ from vcbundle import (
     unanimity_profile,
     unanimity_valuation,
 )
+from conftest import brute_force_gap, bundle_families, small_profiles
 
 
 def example_family(u4):
@@ -100,6 +101,31 @@ class TestSweepHelperAgreement:
                 for tie in (None, TieBreak.canonical())
             )
             assert max_profile_gap(fam, profile) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_gaps_match_the_brute_force_oracle(self, data):
+        from vcbundle.equilibrium import max_profile_gap
+
+        # On monotone valuations the three modes give equal gaps (each pick can
+        # be shrunk to family bundles, where the projection is exact), so this
+        # checks the gap itself; the tie rules are checked in test_auction.
+        profile = data.draw(small_profiles(max_m=3, max_n=3))
+        fam = data.draw(bundle_families(profile.universe))
+        modes = ((None, "adversarial"), (TieBreak.canonical(), "canonical"),
+                 (TieBreak.seller_favoring(), "seller"))
+        for tie, name in modes:
+            expected = [brute_force_gap(fam, profile, buyer, name) for buyer in range(profile.n)]
+            assert [deviation_gap(fam, profile, buyer, tie) for buyer in range(profile.n)] == expected
+            assert max_profile_gap(fam, profile, (tie,)) == max(expected)
+
+    def test_fixed_adversarial_tie_is_the_adversarial_mode(self, u4):
+        from vcbundle.equilibrium import max_profile_gap
+
+        fam, profile = example_family(u4), example_profile(u4)
+        adversarial = max_profile_gap(fam, profile, ties=(None,))
+        assert max_profile_gap(fam, profile, ties=(TieBreak.adversarial_to(0),)) == adversarial == 1
+        assert deviation_gap(fam, profile, 0, TieBreak.adversarial_to(2)) == 1
 
 
 class TestCheckEquilibrium:
