@@ -70,11 +70,17 @@ def _parse_tie(text: str) -> TieBreak:
     raise InvalidInputError(f"bad tie-break {text!r} (canonical|seller|adversarial:i)")
 
 
-def _emit(payload, fmt: str) -> None:
-    if fmt == "csv":
-        sys.stdout.write(jsonio.flatten_csv(payload))
-    else:
-        sys.stdout.write(jsonio.dumps(payload))
+def _emit(fmt: str, build, *args) -> None:
+    """Print ``build(*args)`` as JSON or CSV; a value too long to print is invalid input."""
+    try:
+        payload = build(*args)
+        text = jsonio.flatten_csv(payload) if fmt == "csv" else jsonio.dumps(payload)
+    except ValueError as exc:  # an exact value past the interpreter's int-string limit
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        raise InvalidInputError(f"a result value has more than {limit} digits (the int-string limit)") from None
+    sys.stdout.write(text)
 
 
 def _profiles_for(universe: GoodsUniverse, spec: str, seed: int):
@@ -107,7 +113,7 @@ def _cmd_auction(args) -> int:
         outcome = run_vc(project_profile(profile, family), tie, true_profile=profile)
     else:
         outcome = run_vc(profile, tie)
-    _emit(jsonio.outcome_payload(outcome), args.format)
+    _emit(args.format, jsonio.outcome_payload, outcome)
     return 0
 
 
@@ -116,11 +122,7 @@ def _cmd_analyze_sigma(args) -> int:
     universe = family.universe
     cls = classify_family(family)
     profiles = _profiles_for(universe, args.profiles, args.seed)
-    if args.mode == "adversarial":
-        ties = (None,)
-    else:
-        ties = (_parse_tie(args.mode),)
-    verdict = check_bundling_equilibrium(family, profiles, ties=ties)
+    verdict = check_bundling_equilibrium(family, profiles)
     payload = {
         "family": jsonio.family_payload(family),
         "classification": jsonio.classification_payload(universe, cls),
@@ -142,7 +144,7 @@ def _cmd_analyze_sigma(args) -> int:
     if universe.full_mask in family.bundles:
         estimate = empirical_ratio(family, max(universe.m, 3), profiles)
         payload["ratio_lower_bound"] = jsonio.fraction_repr(estimate.ratio)
-    _emit(payload, args.format)
+    _emit(args.format, lambda: payload)
     return 0
 
 
@@ -168,7 +170,7 @@ def _cmd_analyze_partition(args) -> int:
         "runtime": round(elapsed, 3) if args.timings else None,
     }
     print(f"solved in {elapsed:.3f}s", file=sys.stderr)
-    _emit(payload, args.format)
+    _emit(args.format, lambda: payload)
     return 0
 
 
@@ -179,7 +181,7 @@ def _cmd_plane(args) -> int:
         "points": plane.n_points,
         "lines": sorted(sorted(line) for line in plane.lines),
     }
-    _emit(payload, args.format)
+    _emit(args.format, lambda: payload)
     return 0
 
 
@@ -189,7 +191,7 @@ def _cmd_project(args) -> int:
     if family.universe != valuation.universe:
         raise InvalidInputError("valuation and family must share the same goods")
     projected = project_valuation(valuation, family)
-    _emit(jsonio.valuation_payload(valuation.universe, projected), args.format)
+    _emit(args.format, jsonio.valuation_payload, valuation.universe, projected)
     return 0
 
 
@@ -207,7 +209,7 @@ def _cmd_reproduce(args) -> int:
                 f"claimed {check['claimed']}, computed {check['computed']}"
             )
             print(line, file=sys.stderr)
-    _emit(report, args.format)
+    _emit(args.format, lambda: report)
     return 0 if report["passed"] else 1
 
 
@@ -228,8 +230,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze-sigma", help="classify a family and verify stability")
     p.add_argument("--family", required=True)
     p.add_argument("--profiles", default="sweep", help="sweep | random:N")
-    p.add_argument("--mode", choices=("adversarial", "canonical", "seller"), default="adversarial",
-                   help="tie-breaking for the sweep")
     p.add_argument("--seed", type=int, default=0, help="seed for --profiles random:N")
     add_common(p)
     p.set_defaults(func=_cmd_analyze_sigma)

@@ -21,6 +21,7 @@ from .core import (
     exact_ratio,
     submask_max,
     unanimity_valuation,
+    validate_valuation,
 )
 from .sigma import (
     EquilibriumCounterexample,
@@ -29,79 +30,49 @@ from .sigma import (
     project_profile,
     quasi_field_closure,
 )
-from .auction import TieBreak, max_surplus, optimal_allocation, sigma_optimal_surplus
+from .auction import max_surplus, sigma_optimal_surplus
 
 _ZERO = 0
 
 
-def deviation_gap(
-    family: BundleFamily,
-    profile: Profile,
-    buyer: int,
-    tie: TieBreak | None = None,
-) -> Value:
-    """Utility a buyer forgoes by projection-reporting instead of the truth.
+def deviation_gap(family: BundleFamily, profile: Profile, buyer: int) -> Value:
+    """Utility a buyer forgoes by projection-reporting instead of the truth,
+    while everyone else reports their projection onto the family.
 
-    Everyone else reports their projection onto the family.  With ``tie``
-    None the mechanism breaks ties adversarially against the buyer (the
-    worst mechanism for them); otherwise the fixed rule decides.  The gap is
-    the buyer's truthful utility minus their projection-reporting utility,
-    which reduces to a difference of two surpluses; it is nonnegative because
-    truth-telling dominates.
+    Under pivot payments that is S(hybrid) - S(the mechanism's pick), the
+    hybrid being the projected profile with the buyer's true valuation.  On
+    monotone valuations every tie rule's pick can be shrunk to family
+    bundles, where the projection is exact, so under every tie rule the gap
+    is S(hybrid) - S(projected) >= 0.  A dense valuation that fails
+    ``validate_valuation`` is invalid input.
     """
     if not 0 <= buyer < profile.n:
         raise InvalidInputError("buyer index out of range")
-    return _max_gap(family, profile, (buyer,), (tie,))
+    return _max_gap(family, profile, (buyer,))
 
 
-def max_profile_gap(
-    family: BundleFamily,
-    profile: Profile,
-    ties: tuple[TieBreak | None, ...] = (None, TieBreak.canonical()),
-) -> Value:
-    """Largest deviation gap over all buyers and the given tie-break modes
-    (None or adversarial: against each buyer in turn)."""
-    return _max_gap(family, profile, range(profile.n), ties)
+def max_profile_gap(family: BundleFamily, profile: Profile) -> Value:
+    """Largest deviation gap over all buyers (see ``deviation_gap``)."""
+    return _max_gap(family, profile, range(profile.n))
 
 
-def _max_gap(family: BundleFamily, profile: Profile, buyers, ties) -> Value:
-    """Largest deviation gap over ``buyers`` and ``ties``.
-
-    The projection and each fixed-tie winner determination are shared across
-    buyers.  A buyer whose valuation equals its own projection has the
-    truthful best-reply surplus equal to the restricted optimum, so its gap
-    is 0 once a shared solve confirms that the mechanism's pick is
-    restricted-optimal.
-    """
+def _max_gap(family: BundleFamily, profile: Profile, buyers) -> Value:
+    """Largest S(hybrid) - S(projected) over ``buyers``; a buyer whose
+    valuation equals its projection has gap 0 without a solve."""
+    for i, v in enumerate(profile.valuations):
+        report = validate_valuation(v)
+        if not report.ok:
+            raise InvalidInputError(f"the deviation gap needs valid valuations; buyer {i + 1}: {report.reason}")
     projected = project_profile(profile, family)
-    deviators = [i for i in buyers if projected.valuations[i] != profile.valuations[i]]
+    restricted = max_surplus(projected)
     worst = _ZERO
-    for tie in ties:
-        if tie is not None and tie.kind == "adversarial":
-            tie = None
-        if tie is not None or len(deviators) < len(buyers):
-            if tie is None:
-                fixed_alloc, value = optimal_allocation(
-                    projected, TieBreak.adversarial_to(0), reference=projected
-                )
-            else:
-                fixed_alloc, value = optimal_allocation(projected, tie)
-            if fixed_alloc.surplus(projected) != value:
-                raise InternalInvariantError("mechanism pick lost restricted optimality")
-        for i in deviators:
-            hybrid = projected.replace(i, profile.valuations[i])
-            truthful_best = max_surplus(hybrid)
-            if tie is None:
-                alloc, _ = optimal_allocation(
-                    projected, TieBreak.adversarial_to(i), reference=hybrid
-                )
-            else:
-                alloc = fixed_alloc
-            gap = truthful_best - alloc.surplus(hybrid)
-            if gap < 0:
-                raise InternalInvariantError("deviation gap must be nonnegative")
-            if gap > worst:
-                worst = gap
+    for i in buyers:
+        if projected.valuations[i] == profile.valuations[i]:
+            continue
+        gap = max_surplus(projected.replace(i, profile.valuations[i])) - restricted
+        if gap < 0:
+            raise InternalInvariantError("deviation gap must be nonnegative")
+        worst = max(worst, gap)
     return worst
 
 
@@ -114,28 +85,27 @@ class EquilibriumVerdict:
 
 
 def check_bundling_equilibrium(
-    family: BundleFamily,
-    profiles: Iterable[Profile],
-    ties: tuple[TieBreak | None, ...] = (None, TieBreak.canonical()),
+    family: BundleFamily, profiles: Iterable[Profile]
 ) -> EquilibriumVerdict:
     """Decide whether projection-reporting onto the family is stable.
 
-    Quasi fields must show a zero gap on every generated profile for every
-    buyer in every requested tie-break mode (None = adversarial); any nonzero
-    gap there is an implementation error, not a counterexample.  For other
-    families the constructed witness is returned together with its (strictly
-    positive) adversarial gap.
+    Quasi fields must show a zero gap (which no tie rule changes, see
+    ``deviation_gap``) on every generated profile for every buyer; any
+    nonzero gap there is an implementation error, not a counterexample.  For
+    other families the constructed witness, whose ``allocation`` is the
+    certifying adversarial tie-break outcome, is returned together with its
+    (strictly positive) gap.
     """
     classification = classify_family(family)
     if classification.is_quasi_field:
         checked = 0
         for profile in profiles:
-            if max_profile_gap(family, profile, ties) != 0:
+            if max_profile_gap(family, profile) != 0:
                 raise InternalInvariantError("nonzero gap on a quasi field: engine bug")
             checked += 1
         return EquilibriumVerdict(consistent=True, profiles_checked=checked)
     witness = equilibrium_counterexample(family)
-    gap = deviation_gap(family, witness.profile, witness.deviator, tie=None)
+    gap = deviation_gap(family, witness.profile, witness.deviator)
     if gap <= 0:
         raise InternalInvariantError("constructed counterexample has no gap")
     return EquilibriumVerdict(

@@ -108,7 +108,7 @@ def test_criterion_02_quasi_field_soundness_and_completeness():
     swept = 0
     for universe, family in pool:
         for profile in disjoint_unanimity_profiles(universe):
-            assert max_profile_gap(family, profile) == 0  # both tie-break modes
+            assert max_profile_gap(family, profile) == 0  # the gap under every tie rule
             swept += 1
     non_quasi = 0
     for m in (1, 2, 3, 4):

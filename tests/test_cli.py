@@ -1,5 +1,6 @@
 import json
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -107,12 +108,12 @@ class TestExitCodes:
     def test_seed_is_rejected_where_nothing_reads_it(self):
         assert cli("plane", "--q", "2", "--seed", "3").returncode == 1
 
-    def test_mode_names_its_choices(self):
+    def test_gap_sweep_takes_no_tie_mode(self):
+        # The deviation gap is the same under every tie rule, so there is no knob.
         family = INSTANCES / "four-good-family.json"
-        proc = cli("analyze-sigma", "--family", str(family), "--mode", "adversarial:1")
+        proc = cli("analyze-sigma", "--family", str(family), "--mode", "adversarial")
         assert proc.returncode == 1
-        assert b"adversarial" in proc.stderr and b"canonical" in proc.stderr and b"seller" in proc.stderr
-        assert b"reference profile" not in proc.stderr
+        assert b"Traceback" not in proc.stderr
 
     def test_invalid_instance_contents(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -143,6 +144,30 @@ class TestExitCodes:
         proc = cli("auction", "--instance", str(bad))
         assert proc.returncode == 1
         assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("weight", ["1e4300", "1e-4300"])
+    def test_results_past_the_digit_limit_are_invalid_input(self, tmp_path, weight, fmt):
+        # The weight parses, but the surplus needs 4301 digits to print.
+        path = tmp_path / "big.json"
+        path.write_text(
+            '{"goods": ["a"], "valuations": [{"kind": "atoms", "atoms": [{"bundle": "a", "weight": "%s"}]}]}'
+            % weight
+        )
+        proc = cli("auction", "--instance", str(path), "--format", fmt)
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert b"4300" in proc.stderr
+
+    def test_projection_past_the_digit_limit_is_invalid_input(self, tmp_path):
+        valuation = tmp_path / "tiny.json"
+        valuation.write_text('{"goods": ["a"], "valuation": {"kind": "dense", "values": {"a": "1e-4300"}}}')
+        family = tmp_path / "family.json"
+        family.write_text('{"goods": ["a"], "bundles": ["a"]}')
+        proc = cli("project", "--valuation", str(valuation), "--family", str(family))
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert b"4300" in proc.stderr
 
     @pytest.mark.parametrize("valuation", [
         '{"kind": "dense", "values": {"ab": 1, "ba": 2}}',
@@ -196,6 +221,21 @@ class TestBudgetExits:
         proc = cli("analyze-sigma", "--family", str(path))
         assert proc.returncode == 2
         assert b"m <= 8" in proc.stderr and b"m = 9" in proc.stderr
+
+
+def _readme_commands():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("vcbundle ")]
+
+
+def test_readme_command_examples_run():
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    for argv in commands:
+        proc = cli(*argv)
+        assert proc.returncode == 0, (argv, proc.stderr.decode())
 
 
 def test_partition_shapes_script_reports_minimum(capsys):

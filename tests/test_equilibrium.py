@@ -10,6 +10,7 @@ from vcbundle import (
     InvalidInputError,
     Profile,
     TieBreak,
+    Valuation,
     balanced_family,
     check_bundling_equilibrium,
     deviation_gap,
@@ -20,8 +21,10 @@ from vcbundle import (
     field_of_partition,
     is_quasi_field,
     partition_from_sizes,
+    project_profile,
     random_monotone_profiles,
     random_quasi_field,
+    run_vc,
     sigma_optimal_surplus,
     singleton_profile,
     unanimity_profile,
@@ -55,8 +58,7 @@ class TestDeviationGap:
         assert is_quasi_field(fam)
         prof = example_profile(u4)
         for buyer in range(prof.n):
-            for tie in (None, TieBreak.canonical(), TieBreak.seller_favoring()):
-                assert deviation_gap(fam, prof, buyer, tie) == 0
+            assert deviation_gap(fam, prof, buyer) == 0
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -76,8 +78,19 @@ class TestDeviationGap:
         fam = random_quasi_field(universe, rng)
         for profile in random_monotone_profiles(universe, n=2, count=5, seed=seed):
             for buyer in range(profile.n):
-                for tie in (None, TieBreak.canonical()):
-                    assert deviation_gap(fam, profile, buyer, tie) == 0
+                assert deviation_gap(fam, profile, buyer) == 0
+
+    def test_non_monotone_dense_valuation_is_rejected(self, u2):
+        from vcbundle.equilibrium import max_profile_gap
+
+        # v(ab) = 1 < v(b) = 3: the gap would depend on the tie rule.
+        bad = Valuation(u2, table=(0, 2, 3, 1))
+        profile = Profile(u2, (bad, unanimity_valuation(u2, u2.parse_bundle("b"))))
+        fam = BundleFamily.of(u2, [u2.parse_bundle("a")])
+        with pytest.raises(InvalidInputError, match="monotonicity"):
+            deviation_gap(fam, profile, 0)
+        with pytest.raises(InvalidInputError, match="monotonicity"):
+            max_profile_gap(fam, profile)
 
 
 class TestSweepHelperAgreement:
@@ -95,11 +108,7 @@ class TestSweepHelperAgreement:
         profiles = list(disjoint_unanimity_profiles(universe))[:15]
         profiles += list(random_monotone_profiles(universe, n=2, count=3, seed=seed))
         for profile in profiles:
-            expected = max(
-                deviation_gap(fam, profile, buyer, tie)
-                for buyer in range(profile.n)
-                for tie in (None, TieBreak.canonical())
-            )
+            expected = max(deviation_gap(fam, profile, buyer) for buyer in range(profile.n))
             assert max_profile_gap(fam, profile) == expected
 
     @settings(max_examples=100, deadline=None)
@@ -107,25 +116,16 @@ class TestSweepHelperAgreement:
     def test_gaps_match_the_brute_force_oracle(self, data):
         from vcbundle.equilibrium import max_profile_gap
 
-        # On monotone valuations the three modes give equal gaps (each pick can
-        # be shrunk to family bundles, where the projection is exact), so this
-        # checks the gap itself; the tie rules are checked in test_auction.
+        # On monotone valuations each tie rule's pick can be shrunk to family
+        # bundles, where the projection is exact, so the one library gap must
+        # equal the oracle's gap under every rule; the tie rules themselves
+        # are checked in test_auction.
         profile = data.draw(small_profiles(max_m=3, max_n=3))
         fam = data.draw(bundle_families(profile.universe))
-        modes = ((None, "adversarial"), (TieBreak.canonical(), "canonical"),
-                 (TieBreak.seller_favoring(), "seller"))
-        for tie, name in modes:
-            expected = [brute_force_gap(fam, profile, buyer, name) for buyer in range(profile.n)]
-            assert [deviation_gap(fam, profile, buyer, tie) for buyer in range(profile.n)] == expected
-            assert max_profile_gap(fam, profile, (tie,)) == max(expected)
-
-    def test_fixed_adversarial_tie_is_the_adversarial_mode(self, u4):
-        from vcbundle.equilibrium import max_profile_gap
-
-        fam, profile = example_family(u4), example_profile(u4)
-        adversarial = max_profile_gap(fam, profile, ties=(None,))
-        assert max_profile_gap(fam, profile, ties=(TieBreak.adversarial_to(0),)) == adversarial == 1
-        assert deviation_gap(fam, profile, 0, TieBreak.adversarial_to(2)) == 1
+        gaps = [deviation_gap(fam, profile, buyer) for buyer in range(profile.n)]
+        for name in ("adversarial", "canonical", "seller"):
+            assert gaps == [brute_force_gap(fam, profile, buyer, name) for buyer in range(profile.n)]
+        assert max_profile_gap(fam, profile) == max(gaps)
 
 
 class TestCheckEquilibrium:
@@ -148,6 +148,12 @@ class TestCheckEquilibrium:
         )
         verdict = check_bundling_equilibrium(fam, disjoint_unanimity_profiles(u4))
         assert verdict.consistent
+
+    def test_non_monotone_profile_on_a_quasi_field_is_rejected(self, u2):
+        fam = BundleFamily.full(u2)
+        bad = Profile(u2, (Valuation(u2, table=(0, 2, 3, 1)),))
+        with pytest.raises(InvalidInputError, match="monotonicity"):
+            check_bundling_equilibrium(fam, [bad])
 
 
 class TestCompleteness:
@@ -178,6 +184,25 @@ class TestCompleteness:
             found += 1
             cx = equilibrium_counterexample(fam)
             assert deviation_gap(fam, cx.profile, cx.deviator) >= 1
+
+    def test_counterexample_allocation_certifies_the_deviation(self):
+        """Re-run the mechanism on each witness: the adversarial pick against
+        the projections is the certificate allocation, where the deviator gets
+        0, while reporting the truth gets them 1."""
+        from vcbundle.sigma import enumerate_families
+
+        for m in (1, 2, 3):
+            for fam in enumerate_families(GoodsUniverse.of_size(m)):
+                if is_quasi_field(fam):
+                    continue
+                cx = equilibrium_counterexample(fam)
+                i = cx.deviator
+                reported = project_profile(cx.profile, fam)
+                outcome = run_vc(reported, TieBreak.adversarial_to(i), true_profile=cx.profile)
+                assert outcome.allocation == cx.allocation
+                assert outcome.utilities[i] == 0
+                truthful = reported.replace(i, cx.profile.valuations[i])
+                assert run_vc(truthful, true_profile=cx.profile).utilities[i] == 1
 
 
 class TestCommunicationComplexity:
