@@ -6,12 +6,15 @@ memoised atom-packing kernel of ``core.AtomPacking`` when every valuation is
 sparse.
 Tie-breaking among surplus-optimal allocations is an explicit, deterministic
 rule because the equilibrium analysis needs "there exists a mechanism that
-picks this optimum" as an operation.
+picks this optimum" as an operation.  Both routes fold the rule into one
+exact integer objective, value first and tie key second; only adversarial
+with a multi-atom buyer walks the optimal packings, under a node budget.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, getitem
 
 from .core import (
     Allocation,
@@ -27,9 +30,9 @@ from .core import (
     Valuation,
     Value,
     max_packing,
-    popcount,
     submask_max,
     DENSE_GOODS_CAP,
+    TIE_WALK_NODES_CAP,
 )
 from .sigma import _minimal_supersets, partition_of_family
 
@@ -80,7 +83,7 @@ def _tie_costs(profile: Profile, tie: TieBreak, reference: Profile | None):
     if tie.kind == "canonical":
         return None
     if tie.kind == "seller":
-        return [popcount] * profile.n
+        return [int.bit_count] * profile.n
     if reference is None:
         raise InvalidInputError("adversarial tie-break needs a reference profile")
     if reference.n != profile.n or reference.universe != profile.universe:
@@ -88,97 +91,77 @@ def _tie_costs(profile: Profile, tie: TieBreak, reference: Profile | None):
     return [v.value for v in reference.valuations]
 
 
-def _dense_rows(profile: Profile, costs):
-    """Subset DP over (buyer suffix, goods subset) (Rothkopf, Pekec & Harstad
-    1998): returns the buyers' dense tables and the rows, where
-    ``rows[i][S]`` is the best buyers i.. achieve on goods S.
-
-    Without tie costs a row holds plain surplus values; with them it holds
-    (surplus, minus total cost) pairs, maximized lexicographically.
-
-    Only the middle rows take the 3^m pass.  The last buyer's row is a
-    submask maximum (m * 2^m steps), and row 0 is needed at the full goods
-    set only (2^m steps), so it is the one-entry mapping ``{full: best}``.
-    """
+def _dense_tables(profile: Profile) -> list:
     m = profile.universe.m
     if m > DENSE_GOODS_CAP:
         raise BudgetExceededError(
             f"dense winner determination capped at m <= {DENSE_GOODS_CAP} goods, got m = {m}"
         )
-    full = profile.universe.full_mask
-    size = full + 1
-    n = profile.n
-    tables = [v.to_dense().table for v in profile.valuations]
-    rows = [[_ZERO] * size if costs is None else [(_ZERO, 0)] * size]
-    if n > 1:
-        rows.insert(0, submask_max(tables[-1], None if costs is None else costs[-1]))
-    for i in range(n - 2, 0, -1):
+    return [v.to_dense().table for v in profile.valuations]
+
+
+def _dense_rows(tables):
+    """Subset DP over (buyer suffix, goods subset) (Rothkopf, Pekec & Harstad
+    1998) on per-buyer tables indexed by bundle mask: ``rows[i][S]`` is the
+    best buyers i.. achieve on goods S.
+
+    Only the middle rows take the 3^m pass.  The last buyer's row is a
+    submask maximum (m * 2^m steps), and row 0 is needed at the full goods
+    set only (2^m steps), so it is the one-entry mapping ``{full: best}``.
+    """
+    size = len(tables[0])
+    rows = [[_ZERO] * size]
+    if len(tables) > 1:
+        rows.insert(0, submask_max(tables[-1]))
+    for vals in tables[-2:0:-1]:
         nxt = rows[0]
-        vals = tables[i]
         cur = []
-        if costs is None:
-            for s in range(size):
-                best = vals[0] + nxt[s]  # buyer takes nothing
-                t = s
-                while t:
-                    cand = vals[t] + nxt[s ^ t]
-                    if cand > best:
-                        best = cand
-                    t = (t - 1) & s
-                cur.append(best)
-        else:
-            cost = [costs[i](t) for t in range(size)]
-            for s in range(size):
-                rest = nxt[s]
-                best = (vals[0] + rest[0], rest[1] - cost[0])
-                t = s
-                while t:
-                    rest = nxt[s ^ t]
-                    cand = (vals[t] + rest[0], rest[1] - cost[t])
-                    if cand > best:
-                        best = cand
-                    t = (t - 1) & s
-                cur.append(best)
+        for s in range(size):
+            best = vals[0] + nxt[s]  # buyer takes nothing
+            t = s
+            while t:
+                cand = vals[t] + nxt[s ^ t]
+                if cand > best:
+                    best = cand
+                t = (t - 1) & s
+            cur.append(best)
         rows.insert(0, cur)
     # Buyer 0 takes T and the rest share full ^ T, which is index T of the
     # reversed row.
-    rest = reversed(rows[0])
-    if costs is None:
-        best = max(map(add, tables[0], rest))
-    else:
-        cost = map(costs[0], range(size))
-        best = max((v + r[0], r[1] - c) for v, r, c in zip(tables[0], rest, cost))
-    rows.insert(0, {full: best})
-    return tables, rows
+    rows.insert(0, {size - 1: max(map(add, tables[0], reversed(rows[0])))})
+    return rows
+
+
+def _folded(tables, costs):
+    """Each table as the exact integers v(T)*D*K - c(T)*D: D clears every
+    value and cost denominator and K exceeds the spread of any total cost
+    times D, so one plain maximisation ranks value first, tie cost second."""
+    cost_tables = [list(map(cost, range(len(tables[0])))) for cost in costs]
+    d = math.lcm(*{x.denominator for table in (*tables, *cost_tables) for x in table})
+    dk = d * (1 + sum((max(c) - min(c)) * d for c in cost_tables))
+    return [[(v * dk).numerator - (c * d).numerator for v, c in zip(t, ct)] for t, ct in zip(tables, cost_tables)]
 
 
 def _dense_solve(profile: Profile, tie: TieBreak, reference: Profile | None):
     costs = _tie_costs(profile, tie, reference)
-    tables, rows = _dense_rows(profile, costs)
+    tables = _dense_tables(profile)
+    weights = tables if costs is None else _folded(tables, costs)
+    rows = _dense_rows(weights)
     full = profile.universe.full_mask
 
     # Reconstruct: per buyer in order, the smallest bundle preserving the optimum.
     masks = []
     s = full
-    for i in range(profile.n):
-        target = rows[i][s]
-        vals = tables[i]
-        nxt = rows[i + 1]
+    for vals, target_row, nxt in zip(weights, rows, rows[1:]):
+        target = target_row[s]
         t = 0
-        while True:  # submasks of s in ascending order
-            if costs is None:
-                cand = vals[t] + nxt[s ^ t]
-            else:
-                rest = nxt[s ^ t]
-                cand = (vals[t] + rest[0], rest[1] - costs[i](t))
-            if cand == target:
-                break
+        while vals[t] + nxt[s ^ t] != target:  # submasks of s in ascending order
             if t == s:
                 raise InternalInvariantError("dense reconstruction lost the optimum")
             t = (t - s) & s
         masks.append(t)
         s ^= t
-    value = rows[0][full] if costs is None else rows[0][full][0]
+    value = rows[0][full] if costs is None else sum(map(getitem, tables, masks))
     return Allocation(profile.universe, tuple(masks)), value
 
 
@@ -191,50 +174,102 @@ def _atom_list(profile: Profile):
     return atoms
 
 
+def _keyed_atoms(atoms, n: int, costs) -> list[tuple[Bundle, int]]:
+    """(mask, w*D*K - key) per atom, where the keys of a packing add up to a
+    number that orders packings as the tie rule does: the tie cost
+    c_i(a) - c_i(empty), cleared of denominators, above the canonical
+    digits.  Buyer i's digit, as wide as the highest good its atoms cover,
+    holds their masks as they are, with buyer 0's digit highest.  The tie
+    cost is additive: seller's is the goods count, and adversarial comes
+    here only when no buyer has two live atoms.  D clears the weights'
+    denominators and K exceeds the difference between any two packings'
+    keys."""
+    covers = [0] * n
+    for i, mask, _ in atoms:
+        covers[i] |= mask
+    offsets = [0] * n
+    width = 0
+    for i in range(n - 1, -1, -1):
+        offsets[i] = width
+        width += covers[i].bit_length()
+    ties = [0] * len(atoms)
+    if costs is not None:
+        extra = [costs[i](mask) - costs[i](0) for i, mask, _ in atoms]
+        d = math.lcm(*{x.denominator for x in extra})
+        ties = [(x * d).numerator << width for x in extra]
+    dk = math.lcm(*{w.denominator for _, _, w in atoms}) * ((1 << width) + sum(map(abs, ties)))
+    return [(mask, (w * dk).numerator - tie - (mask << offsets[i])) for (i, mask, w), tie in zip(atoms, ties)]
+
+
 def _sparse_solve(profile: Profile, tie: TieBreak, reference: Profile | None):
     atoms = _atom_list(profile)
     costs = _tie_costs(profile, tie, reference)
-
-    def key_of(masks: list[int]):
-        masks = tuple(masks)
-        if costs is None:
-            return masks
-        total = _ZERO
-        for cost, b in zip(costs, masks):
-            total += cost(b)
-        return (total, masks)
-
-    packing = AtomPacking([(mask, w) for _, mask, w in atoms])
-    buyers = [atoms[i][0] for i in packing.order]
     full = profile.universe.full_mask
-    optimum = packing.best(0, full)
-    _, masks = _least_optimum(packing, buyers, key_of, 0, full, optimum, [0] * profile.n)
-    return Allocation(profile.universe, masks), optimum
+    if tie.kind == "adversarial" and len({i for i, _, _ in atoms}) < len(atoms):
+        # A multi-atom buyer's reference value is not additive over its atoms.
+        packing = AtomPacking([(mask, w) for _, mask, w in atoms])
+        buyers = [atoms[i][0] for i in packing.order]
+        optimum = packing.best(0, full)
+        _, masks = _least_optimum(packing, buyers, costs, 0, full, optimum, [0] * profile.n, [0])
+        return Allocation(profile.universe, masks), optimum
+
+    # Read the one optimal bundle tuple back in a forward pass: an atom is
+    # taken exactly when it fits and the optimum stays reachable.
+    packing = AtomPacking(_keyed_atoms(atoms, profile.n, costs))
+    need = packing.best(0, full)
+    free = full
+    masks = [0] * profile.n
+    value = _ZERO
+    for j, (mask, weight, index) in enumerate(zip(packing.masks, packing.weights, packing.order)):
+        if mask & free == mask and need:
+            rest = packing.best(j + 1, free ^ mask)
+            if weight + rest == need:
+                i, _, w = atoms[index]
+                masks[i] |= mask
+                value += w
+                free ^= mask
+                need = rest
+    return Allocation(profile.universe, tuple(masks)), value
 
 
-def _least_optimum(packing: AtomPacking, buyers, key_of, j: int, free: int, need: Value, masks):
-    """(key, buyer masks) of the least-key optimal leaf below atom j.
+def _least_optimum(packing: AtomPacking, buyers, costs, j: int, free: int, need: Value, masks, nodes):
+    """(key, buyer masks) of the optimal leaf below atom j that is least in
+    key = (reference surplus, bundle tuple).
 
     ``need`` is the weight atoms j.. must still add inside ``free``; a child
     is entered only when its exact value V meets it, so every leaf reached
     is optimal.  Once ``need`` is 0 the remaining (positive) atoms are all
-    left out.
+    left out.  A leaf's key is None until it meets another leaf, so a walk
+    with one optimum computes none.  ``nodes[0]`` counts the nodes entered.
     """
+    nodes[0] += 1
+    if nodes[0] > TIE_WALK_NODES_CAP:
+        raise BudgetExceededError(
+            f"adversarial tie walk capped at {TIE_WALK_NODES_CAP} nodes, reached {nodes[0]}"
+        )
     if not need:
-        return key_of(masks), tuple(masks)
+        return None, tuple(masks)
     best = None
     mask = packing.masks[j]
     weight = packing.weights[j]
     if mask & free == mask and weight + packing.best(j + 1, free ^ mask) == need:
         buyer = buyers[j]
         masks[buyer] |= mask
-        best = _least_optimum(packing, buyers, key_of, j + 1, free ^ mask, need - weight, masks)
+        best = _least_optimum(packing, buyers, costs, j + 1, free ^ mask, need - weight, masks, nodes)
         masks[buyer] ^= mask
     if packing.best(j + 1, free) == need:
-        leaf = _least_optimum(packing, buyers, key_of, j + 1, free, need, masks)
+        leaf = _least_optimum(packing, buyers, costs, j + 1, free, need, masks, nodes)
+        if best is not None:
+            best, leaf = _keyed(costs, best), _keyed(costs, leaf)
         if best is None or leaf[0] < best[0]:
             best = leaf
     return best
+
+
+def _keyed(costs, leaf):
+    """A walk leaf with its key (reference surplus, bundle tuple) filled in."""
+    key, masks = leaf
+    return key or (sum(cost(b) for cost, b in zip(costs, masks)), masks), masks
 
 
 def max_surplus(profile: Profile) -> Value:
@@ -242,8 +277,7 @@ def max_surplus(profile: Profile) -> Value:
     if profile.all_sparse:
         atoms = _atom_list(profile)
         return max_packing([(mask, w) for _, mask, w in atoms], profile.universe.full_mask)
-    _, rows = _dense_rows(profile, None)
-    return rows[0][profile.universe.full_mask]
+    return _dense_rows(_dense_tables(profile))[0][profile.universe.full_mask]
 
 
 def optimal_allocation(

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import gt
 from typing import Iterable, Iterator, Sequence
 
 Bundle = int  # bitmask over the goods universe; 0 is the empty bundle
@@ -28,6 +29,7 @@ MAX_ORACLE_GOODS = 12  # goods in the ratio_oracle profile sweep
 SWEEP_GOODS_CAP = 8  # goods in the CLI's disjoint-unanimity sweep
 FIELD_PARTS_CAP = 20  # parts of a partition whose 2^k-bundle field is built
 FAMILY_ENUM_GOODS_CAP = 4  # goods in the exhaustive bundle-family enumeration
+TIE_WALK_NODES_CAP = 50_000  # nodes of the adversarial walk over optimal packings
 
 MAX_DECIMAL_EXPONENT = 4300  # |exponent| of a decimal value string: the int-string digit limit
 
@@ -57,11 +59,10 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def submask_max(vals, cost=None) -> list:
-    """``row[S]`` = the max over T inside S of ``vals[T]``, or of
-    ``(vals[T], -cost(T))`` with a cost, by a bit-by-bit sweep (m * 2^m
-    steps) over a table indexed by bundle mask."""
-    row = list(vals) if cost is None else [(v, -cost(t)) for t, v in enumerate(vals)]
+def submask_max(vals) -> list:
+    """``row[S]`` = the max over T inside S of ``vals[T]``, by a bit-by-bit
+    sweep (m * 2^m steps) over a table indexed by bundle mask."""
+    row = list(vals)
     size = len(row)
     bit = 1
     while bit < size:
@@ -397,8 +398,23 @@ def validate_valuation(v: Valuation) -> ValuationReport:
     for mask, val in enumerate(table):
         if val < 0:
             return ValuationReport(False, "negative value", (mask, mask))
-    # Monotonicity along single-bit extensions implies it on all chains.
-    for mask in range(len(table)):
+    # Monotonicity along single-bit extensions implies it on all chains.  Each
+    # bit's (without, with) entries are compared as slices, strided or
+    # contiguous, whichever are fewer; only a violation pays for the scan
+    # that finds the first witness in bitmask order.
+    size = len(table)
+    for i in range(v.universe.m):
+        bit = 1 << i
+        step = bit << 1
+        if bit <= size // step:
+            pairs = ((table[r::step], table[r + bit :: step]) for r in range(bit))
+        else:
+            pairs = ((table[s : s + bit], table[s + bit : s + step]) for s in range(0, size, step))
+        if any(any(map(gt, lo, hi)) for lo, hi in pairs):
+            break
+    else:
+        return ValuationReport(ok=True)
+    for mask in range(size):
         for i in range(v.universe.m):
             if not mask & (1 << i):
                 sup = mask | (1 << i)

@@ -1,8 +1,9 @@
 import gc
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vcbundle import (
     BudgetExceededError,
@@ -291,6 +292,133 @@ class TestNonMonotoneTables:
                 without_i = 0 if rest is None else brute_force_optima(rest)[0]
                 others_at = surplus_of(profile, chosen) - profile.valuations[i].value(chosen[i])
                 assert outcome.payments[i] == without_i - others_at
+
+
+# Coprime denominators, and sums that meet (1/2 + 1/3 = 5/6, 1/2 + 2/5 =
+# 9/10), so that fractional optima tie.
+_COPRIME_WEIGHTS = st.sampled_from(
+    [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(5, 6), Fraction(9, 10)]
+)
+# Reference entries, drawn for every bundle including the empty one, so a
+# reference is usually neither monotone nor normalised, and ref(a) - ref(empty)
+# is often negative.
+_REFERENCE_VALUES = st.sampled_from([-1, Fraction(-1, 2), 0, Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), 1])
+
+
+@st.composite
+def fractional_tie_cases(draw):
+    """m <= 4 goods, 1-3 buyers: an atom profile (one atom per buyer or 1-2),
+    a raw dense profile with fractional entries, and a reference profile."""
+    universe = GoodsUniverse.of_size(draw(st.integers(1, 4)))
+    n = draw(st.integers(1, 3))
+    size = universe.full_mask + 1
+    # One atom per buyer (the additive adversarial key) draws from fewer
+    # weights, so that its optima tie more often.
+    one_atom = draw(st.booleans())
+    atoms_each = st.just(1) if one_atom else st.integers(1, 2)
+    weights = st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(5, 6)]) if one_atom else _COPRIME_WEIGHTS
+    sparse = []
+    for _ in range(n):
+        atoms = [
+            (draw(st.integers(1, universe.full_mask)), draw(weights))
+            for _ in range(draw(atoms_each))
+        ]
+        sparse.append(Valuation.from_atoms(universe, atoms))
+    tables = st.lists(st.sampled_from([0, Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(5, 6)]),
+                      min_size=size - 1, max_size=size - 1)
+    dense = [Valuation(universe, table=(0, *draw(tables))) for _ in range(n)]
+    references = st.lists(_REFERENCE_VALUES, min_size=size, max_size=size)
+    reference = [Valuation(universe, table=tuple(draw(references))) for _ in range(n)]
+    return (Profile(universe, tuple(sparse)), Profile(universe, tuple(dense)),
+            Profile(universe, tuple(reference)), draw(st.integers(0, n - 1)))
+
+
+def _atom_exact(profile, masks) -> bool:
+    """Each buyer's bundle is the union of disjoint atoms of its own whose
+    weights add up to its value: the allocations a packing can produce."""
+    for v, mask in zip(profile.valuations, masks):
+        live = [(a, w) for a, w in v.atoms if a and w > 0 and a & mask == a]
+        if not any(
+            sum(a for a, _ in combo) == mask
+            and sum((w for _, w in combo), Fraction(0)) == v.value(mask)
+            and all(x & y == 0 for x, y in itertools.combinations([a for a, _ in combo], 2))
+            for r in range(len(live) + 1)
+            for combo in itertools.combinations(live, r)
+        ):
+            return False
+    return True
+
+
+def _two_buyers_one_good():
+    """Two buyers worth 1/2 for one good.  Their reference gains from it, 2/5
+    and 1/2, order them the opposite way to the gains' numerators and to the
+    reference values at the good, 7/5 (from 1 at the empty bundle) and 1/2."""
+    universe = GoodsUniverse.of_size(1)
+    half = Valuation.from_atoms(universe, [(1, Fraction(1, 2))])
+    tables = Profile(universe, (half.to_dense(), half.to_dense()))
+    reference = Profile(universe, (
+        Valuation(universe, table=(1, Fraction(7, 5))),
+        Valuation(universe, table=(0, Fraction(1, 2))),
+    ))
+    return Profile(universe, (half, half)), tables, reference, 0
+
+
+class TestExactTieObjective:
+    """Both routes maximise one exact integer per tie rule: value first, tie
+    cost second, bundle tuple last."""
+
+    @given(case=fractional_tie_cases())
+    @example(case=_two_buyers_one_good())
+    @settings(max_examples=200, deadline=None)
+    def test_fractional_tie_rules_match_brute_force(self, case):
+        sparse, dense_raw, reference, buyer = case
+
+        def keys(masks):
+            used = 0
+            for b in masks:
+                used |= b
+            ref = sum((v.value(b) for v, b in zip(reference.valuations, masks)), Fraction(0))
+            return {"canonical": masks, "seller": (bin(used).count("1"), masks), "adversarial": (ref, masks)}
+
+        dense_of_sparse = Profile(sparse.universe, tuple(v.to_dense() for v in sparse.valuations))
+        runs = (
+            (sparse, lambda masks: _atom_exact(sparse, masks), brute_force_optima(sparse)),
+            (dense_of_sparse, lambda masks: True, brute_force_optima(sparse)),
+            (dense_raw, lambda masks: True, brute_force_optima(dense_raw)),
+        )
+        for profile, admissible, (best, optima) in runs:
+            candidates = [masks for masks in optima if admissible(masks)]
+            for tie in (TieBreak.canonical(), TieBreak.seller_favoring(), TieBreak.adversarial_to(buyer)):
+                alloc, value = optimal_allocation(profile, tie, reference)
+                assert value == best
+                assert alloc.buyer_bundles == min(candidates, key=lambda masks: keys(masks)[tie.kind])
+
+    def test_tied_instance_at_the_atom_cap(self):
+        # 32 goods; buyers 2g and 2g + 1 each hold a unit atom on good g: 64
+        # atoms and 2^32 optima.  The reference of run_vc's adversarial rule
+        # is the reported profile, on which every optimum ties.
+        universe = GoodsUniverse.of_size(32)
+        profile = Profile(universe, tuple(
+            Valuation.from_atoms(universe, [(1 << (b // 2), 1)]) for b in range(64)
+        ))
+        for tie in (TieBreak.canonical(), TieBreak.seller_favoring(), TieBreak.adversarial_to(5)):
+            outcome = run_vc(profile, tie)
+            assert outcome.surplus == 32 and outcome.revenue == 32
+            for g in range(32):
+                assert outcome.allocation.buyer_bundles[2 * g : 2 * g + 2] == (0, 1 << g)
+                assert outcome.payments[2 * g : 2 * g + 2] == (0, 1)
+
+    def test_additive_rules_skip_the_walk_on_multi_atom_buyers(self):
+        # Two buyers each hold a unit atom on every one of 32 goods (2^32
+        # optima); only adversarial walks them, and its walk is budgeted
+        # (test_budgets).
+        universe = GoodsUniverse.of_size(32)
+        buyer = Valuation.from_atoms(universe, [(1 << g, 1) for g in range(32)])
+        profile = Profile(universe, (buyer, buyer))
+        for tie in (TieBreak.canonical(), TieBreak.seller_favoring()):
+            outcome = run_vc(profile, tie)
+            assert outcome.surplus == 32
+            assert outcome.allocation.buyer_bundles == (0, universe.full_mask)
 
 
 class TestSigmaOptimalSurplus:

@@ -1,14 +1,17 @@
+import pathlib
 import re
 import types
 
 import pytest
 
 import vcbundle
+from vcbundle import core
 from vcbundle import (
     BudgetExceededError,
     BundleFamily,
     GoodsUniverse,
     Profile,
+    TieBreak,
     Valuation,
     field_of_partition,
     max_feasible_family,
@@ -17,6 +20,7 @@ from vcbundle import (
     partition_from_sizes,
     project_valuation,
     ratio_oracle,
+    run_vc,
     sigma_optimal_surplus,
     unanimity_profile,
 )
@@ -37,6 +41,13 @@ def atom_profile(count: int) -> Profile:
 def two_atoms(m: int) -> Valuation:
     universe = GoodsUniverse.of_size(m)
     return Valuation.from_atoms(universe, [(1, 1), (2, 1)])
+
+
+def unit_atoms_on_every_good(m: int) -> Profile:
+    """Two buyers, each with a unit atom on every good: 2^m optimal packings."""
+    universe = GoodsUniverse.of_size(m)
+    buyer = Valuation.from_atoms(universe, [(1 << g, 1) for g in range(m)])
+    return Profile(universe, (buyer, buyer))
 
 
 # (entry point, limit, size): each call exceeds one budget by a known size.
@@ -72,6 +83,11 @@ BUDGET_CASES = {
     "family-search": (lambda: max_feasible_family(partition_from_sizes([1] * 9)), 8, 9),
     "oracle": (lambda: ratio_oracle(partition_from_sizes([13])), 12, 13),
     "family-enumeration": (lambda: next(enumerate_families(GoodsUniverse.of_size(5))), 4, 5),
+    "adversarial-tie-walk": (
+        lambda: run_vc(unit_atoms_on_every_good(32), TieBreak.adversarial_to(0)),
+        core.TIE_WALK_NODES_CAP,
+        core.TIE_WALK_NODES_CAP + 1,
+    ),
 }
 
 
@@ -88,3 +104,20 @@ def test_public_names_are_explicit_and_resolve():
     assert len(set(vcbundle.__all__)) == len(vcbundle.__all__)
     for name in vcbundle.__all__:
         assert not isinstance(getattr(vcbundle, name), types.ModuleType), name
+
+
+def test_readme_size_budgets_list_every_core_cap():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Size budgets", 1)[1].split("\n## ", 1)[0]
+    listed = {
+        name: int(cap.replace(",", ""))
+        for name, cap in re.findall(r"^\| `(\w+)` \| ([\d,]+) ", table, re.MULTILINE)
+    }
+    caps = {
+        name: value
+        for name, value in vars(core).items()
+        if name.endswith("_CAP") or name.startswith("MAX_")
+    }
+    # The decimal exponent limit is documented with the input format instead.
+    assert f"exceeds {caps.pop('MAX_DECIMAL_EXPONENT')} in magnitude" in readme
+    assert listed == caps

@@ -215,6 +215,18 @@ class TestBudgetExits:
         assert b"Traceback" not in proc.stderr
         assert b"64" in proc.stderr and b"1200" in proc.stderr
 
+    def test_adversarial_tie_walk_budget_exits_2_without_traceback(self, tmp_path):
+        # Two buyers each hold a unit atom on every one of 32 goods: 2^32
+        # optimal packings for the adversarial walk.
+        goods = [f"g{i}" for i in range(32)]
+        buyer = {"kind": "atoms", "atoms": [{"bundle": g, "weight": 1} for g in goods]}
+        path = tmp_path / "two-buyers-every-good.json"
+        path.write_text(json.dumps({"goods": goods, "valuations": [buyer, buyer]}))
+        proc = cli("auction", "--instance", str(path), "--tie", "adversarial:1")
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        assert b"tie walk" in proc.stderr
+
     def test_sweep_budget_names_limit_and_size(self, tmp_path):
         path = tmp_path / "nine-goods.json"
         path.write_text(json.dumps({"goods": list("abcdefghi"), "bundles": ["abcdefghi"]}))

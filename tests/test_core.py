@@ -149,6 +149,40 @@ class TestValidation:
                     assert v.value(mask) <= v.value(mask | (1 << i))
 
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_report_matches_a_bundle_by_bundle_scan(self, data):
+        # Monotone tables with a few entries moved, some of them below zero
+        # or at the empty bundle: the report (verdict, reason and first
+        # witness in bitmask order) equals a plain scan's.  On the strictly
+        # increasing 3 * |T| table, one raised entry breaks only the steps
+        # just above it.
+        m = data.draw(st.integers(1, 7))
+        universe = GoodsUniverse.of_size(m)
+        if data.draw(st.booleans()):
+            table = list(data.draw(dense_valuations(universe)).table)
+        else:
+            table = [3 * bin(mask).count("1") for mask in universe.all_bundles()]
+        for _ in range(data.draw(st.integers(0, 3))):
+            table[data.draw(st.integers(0, universe.full_mask))] += data.draw(st.sampled_from([-4, -1, 1, 4]))
+        if data.draw(st.booleans()):
+            table[data.draw(st.integers(1, universe.full_mask))] += Fraction(data.draw(st.integers(-2, 2)), 3)
+        if table[0] != 0:
+            expected = (False, "normalization: v(empty) != 0", (0, 0))
+        elif any(x < 0 for x in table):
+            first = next(mask for mask, x in enumerate(table) if x < 0)
+            expected = (False, "negative value", (first, first))
+        else:
+            pairs = [
+                (mask, mask | 1 << i)
+                for mask in range(len(table))
+                for i in range(m)
+                if not mask >> i & 1 and table[mask] > table[mask | 1 << i]
+            ]
+            expected = (False, "monotonicity violated", pairs[0]) if pairs else (True, "", None)
+        report = validate_valuation(Valuation(universe, table=tuple(table)))
+        assert (report.ok, report.reason, report.witness) == expected
+
 class TestRepresentations:
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
