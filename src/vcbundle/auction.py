@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from operator import add, getitem
 
 from .core import (
@@ -132,11 +133,10 @@ def _dense_rows(tables):
     return rows
 
 
-def _folded(tables, costs):
+def _folded(tables, cost_tables):
     """Each table as the exact integers v(T)*D*K - c(T)*D: D clears every
     value and cost denominator and K exceeds the spread of any total cost
     times D, so one plain maximisation ranks value first, tie cost second."""
-    cost_tables = [list(map(cost, range(len(tables[0])))) for cost in costs]
     d = math.lcm(*{x.denominator for table in (*tables, *cost_tables) for x in table})
     dk = d * (1 + sum((max(c) - min(c)) * d for c in cost_tables))
     return [[(v * dk).numerator - (c * d).numerator for v, c in zip(t, ct)] for t, ct in zip(tables, cost_tables)]
@@ -145,7 +145,14 @@ def _folded(tables, costs):
 def _dense_solve(profile: Profile, tie: TieBreak, reference: Profile | None):
     costs = _tie_costs(profile, tie, reference)
     tables = _dense_tables(profile)
-    weights = tables if costs is None else _folded(tables, costs)
+    weights = tables
+    if costs is not None:
+        # A reference profile is tabulated whole, one pass per buyer.
+        if tie.kind == "adversarial":
+            cost_tables = _dense_tables(reference)
+        else:
+            cost_tables = [list(map(cost, range(len(tables[0])))) for cost in costs]
+        weights = _folded(tables, cost_tables)
     rows = _dense_rows(weights)
     full = profile.universe.full_mask
 
@@ -209,6 +216,7 @@ def _sparse_solve(profile: Profile, tie: TieBreak, reference: Profile | None):
         # A multi-atom buyer's reference value is not additive over its atoms.
         packing = AtomPacking([(mask, w) for _, mask, w in atoms])
         buyers = [atoms[i][0] for i in packing.order]
+        costs = [cache(cost) for cost in costs]  # leaves repeat (buyer, bundle) pairs
         optimum = packing.best(0, full)
         _, masks = _least_optimum(packing, buyers, costs, 0, full, optimum, [0] * profile.n, [0])
         return Allocation(profile.universe, masks), optimum
@@ -419,14 +427,42 @@ class AuctionOutcome:
             raise InternalInvariantError("revenue must equal total payments")
 
 
-def _payment_at(profile: Profile, i: int, others_at: Value) -> Value:
-    """Buyer i's pivot payment: the best surplus the others achieve among
-    themselves, minus ``others_at``, their value at the allocation."""
-    rest = profile.drop(i)
-    payment = (_ZERO if rest is None else max_surplus(rest)) - others_at
+def _payment(without: Value, others_at: Value) -> Value:
+    """A pivot payment: ``without``, the best surplus the others achieve
+    among themselves, minus ``others_at``, their value at the allocation."""
+    payment = without - others_at
     if payment < 0:
         raise InternalInvariantError("pivot payment came out negative")
     return payment
+
+
+def _payment_at(profile: Profile, i: int, others_at: Value) -> Value:
+    rest = profile.drop(i)
+    return _payment(_ZERO if rest is None else max_surplus(rest), others_at)
+
+
+def _sparse_payments(profile: Profile, values, total: Value) -> tuple[Value, ...]:
+    """Every buyer's pivot payment on an all-sparse profile, with the
+    drop-one optima read from one packing whose memo all of them share.
+
+    Atom j carries a private tag bit above the goods, so leaving buyer i's
+    tags out of ``free`` packs the others only, and past the dropped
+    buyers' last atoms the solves meet the same memo keys.  A buyer valued
+    0 at the allocation pays 0 with no solve: a sparse valuation is 0 on
+    the empty bundle and never negative, so the others' best without it is
+    the total.
+    """
+    atoms = _atom_list(profile)
+    m = profile.universe.m
+    tags = [0] * profile.n
+    for j, (i, _, _) in enumerate(atoms):
+        tags[i] |= 1 << (m + j)
+    packing = AtomPacking([(mask | 1 << (m + j), w) for j, (_, mask, w) in enumerate(atoms)])
+    free = profile.universe.full_mask | sum(tags)
+    return tuple(
+        _payment(packing.best(0, free ^ tag) if value else total, total - value)
+        for tag, value in zip(tags, values)
+    )
 
 
 def _values_at(profile: Profile, allocation: Allocation) -> tuple[Value, ...]:
@@ -464,7 +500,10 @@ def run_vc(
     allocation, reported_surplus = optimal_allocation(reported, tie, reference)
     values = _values_at(reported, allocation)
     total = sum(values, _ZERO)
-    payments = tuple(_payment_at(reported, i, total - v) for i, v in enumerate(values))
+    if reported.all_sparse:
+        payments = _sparse_payments(reported, values, total)
+    else:
+        payments = tuple(_payment_at(reported, i, total - v) for i, v in enumerate(values))
     if true_profile is not None:
         if true_profile.n != reported.n or true_profile.universe != reported.universe:
             raise InvalidInputError("true profile shape mismatch")

@@ -130,9 +130,19 @@ class GoodsUniverse:
         At each position the longest label that matches is taken.  A
         string that names a good twice is rejected.
         """
+        bits = self._bits
+        if self._label_lengths == (1,):
+            # One character per label: the bits add up to the mask unless a
+            # character is unknown or repeated, which the loop below reports.
+            try:
+                mask = sum(map(bits.__getitem__, text))
+            except KeyError:
+                pass
+            else:
+                if mask.bit_count() == len(text):
+                    return mask
         mask = 0
         pos = 0
-        bits = self._bits
         while pos < len(text):
             # Labels are distinct, so at most one of each length matches here.
             # A slice cut short by the end of the text matches only a label

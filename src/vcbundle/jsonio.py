@@ -80,6 +80,7 @@ def _parse_valuation(universe: GoodsUniverse, doc: Any) -> Valuation:
         for entry in atoms_doc:
             _require(isinstance(entry, dict) and "bundle" in entry and "weight" in entry,
                      'atoms need "bundle" and "weight"')
+            _require(isinstance(entry["bundle"], str), "atom bundles must be strings")
             atoms.append((universe.parse_bundle(entry["bundle"]), as_value(entry["weight"])))
         v = Valuation.from_atoms(universe, atoms)
     else:

@@ -23,6 +23,7 @@ from vcbundle import (
     unanimity_profile,
     unanimity_valuation,
 )
+from vcbundle.core import AtomPacking
 from conftest import (
     brute_force_optima,
     brute_force_packing,
@@ -419,6 +420,80 @@ class TestExactTieObjective:
             outcome = run_vc(profile, tie)
             assert outcome.surplus == 32
             assert outcome.allocation.buyer_bundles == (0, universe.full_mask)
+
+    def test_walk_values_each_reference_bundle_once(self, monkeypatch):
+        # Three buyers with a unit atom on each of 5 goods: 3^5 optima, and
+        # the leaves repeat each buyer's bundles many times over.
+        universe = GoodsUniverse.of_size(5)
+        profile = Profile(universe, tuple(
+            Valuation.from_atoms(universe, [(1 << g, 1) for g in range(5)]) for _ in range(3)
+        ))
+        buyer_of = {id(v): i for i, v in enumerate(profile.valuations)}
+        calls = []
+        value = Valuation.value
+
+        def counted(self, mask):
+            calls.append((buyer_of[id(self)], mask))
+            return value(self, mask)
+
+        monkeypatch.setattr(Valuation, "value", counted)
+        alloc, surplus = optimal_allocation(profile, TieBreak.adversarial_to(0), profile)
+        assert surplus == 5 and alloc.buyer_bundles == (0, 0, universe.full_mask)
+        assert calls and len(calls) == len(set(calls))
+
+
+class TestSparsePayments:
+    """All-sparse run_vc reads every drop-one optimum from one shared packing."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_payments_match_brute_force_drop_one_optima(self, data):
+        universe = GoodsUniverse.of_size(data.draw(st.integers(1, 6)))
+        n = data.draw(st.integers(1, 5))
+        weights = st.sampled_from([0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2), Fraction(5, 3)])
+
+        def draw_profile():
+            return Profile(universe, tuple(
+                Valuation.from_atoms(universe, [
+                    (data.draw(st.integers(0, universe.full_mask)), data.draw(weights))
+                    for _ in range(data.draw(st.integers(1, 3)))
+                ])
+                for _ in range(n)
+            ))
+
+        reported = draw_profile()
+        true = draw_profile() if data.draw(st.booleans()) else None
+        atoms = [v.atoms for v in reported.valuations]
+        full = universe.full_mask
+        without = [
+            brute_force_packing([a for k, own in enumerate(atoms) if k != i for a in own], full)
+            for i in range(n)
+        ]
+        for tie in (TieBreak.canonical(), TieBreak.seller_favoring(),
+                    TieBreak.adversarial_to(data.draw(st.integers(0, n - 1)))):
+            outcome = run_vc(reported, tie, true)
+            values = [brute_force_packing(own, b) for own, b in zip(atoms, outcome.allocation.buyer_bundles)]
+            for i in range(n):
+                assert outcome.payments[i] == without[i] - (sum(values) - values[i])
+
+    def test_one_packing_for_the_allocation_and_one_for_all_payments(self, monkeypatch):
+        universe = GoodsUniverse.of_size(4)
+        profile = Profile(universe, tuple(
+            unanimity_valuation(universe, mask, weight)
+            for mask, weight in [(0b0011, 3), (0b0110, 4), (0b1100, 3), (0b0001, 2), (0b1000, 2), (0b0100, 1)]
+        ))
+        built = []
+        init = AtomPacking.__init__
+
+        def counted(self, atoms):
+            built.append(len(atoms))
+            init(self, atoms)
+
+        monkeypatch.setattr(AtomPacking, "__init__", counted)
+        outcome = run_vc(profile)
+        assert built == [6, 6]
+        assert outcome.allocation.buyer_bundles == (0, 0b0110, 0, 0b0001, 0b1000, 0)
+        assert outcome.payments == (0, 2, 0, 0, 0, 0)
 
 
 class TestSigmaOptimalSurplus:

@@ -181,6 +181,18 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert b"Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("bundle", ["5", '["a", "b"]', "null", '{"a": 1}'])
+    def test_non_string_atom_bundles_are_invalid_input(self, tmp_path, bundle):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"goods": ["a", "b"], "valuations": [{"kind": "atoms", "atoms": [{"bundle": %s, "weight": 1}]}]}'
+            % bundle
+        )
+        proc = cli("auction", "--instance", str(bad))
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert b"atom bundles must be strings" in proc.stderr
+
 
 class TestDeterminismAndGoldens:
     def test_byte_identical_reruns(self):

@@ -43,6 +43,37 @@ class TestUniverse:
         with pytest.raises(InvalidInputError, match="'g27' twice"):
             wide.parse_bundle("g27g3g27")
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_single_character_labels_parse_as_longest_match(self, data):
+        # Universes of one-character labels; the text mixes labels, repeats
+        # and characters outside the universe.  The parse, or its error
+        # message, equals a longest-match parse written out here.
+        alphabet = "abcdxyz0 \u00e9\u00df"
+        labels = data.draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=8, unique=True))
+        universe = GoodsUniverse(tuple(labels))
+        text = "".join(data.draw(st.lists(st.sampled_from(alphabet), max_size=9)))
+
+        def longest_match():
+            mask = pos = 0
+            while pos < len(text):
+                matches = [lab for lab in labels if text.startswith(lab, pos)]
+                if not matches:
+                    return f"cannot parse bundle string {text!r}"
+                label = max(matches, key=len)
+                bit = 1 << labels.index(label)
+                if mask & bit:
+                    return f"bundle string {text!r} names {label!r} twice"
+                mask |= bit
+                pos += len(label)
+            return mask
+
+        try:
+            got = universe.parse_bundle(text)
+        except InvalidInputError as exc:
+            got = str(exc)
+        assert got == longest_match()
+
     def test_large_universe_labels(self):
         u = GoodsUniverse.of_size(30)
         assert u.labels[26] == "g26"
