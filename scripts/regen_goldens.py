@@ -10,6 +10,9 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "goldens"
+# Overlapping multi-atom buyers with tied optima, whose atoms the packing
+# kernel reorders breadth-first.
+CHAIN = str(ROOT / "instances" / "overlap-chain-atoms.json")
 
 INVOCATIONS = {
     "reproduce-example1.json": ["reproduce", "example1"],
@@ -30,6 +33,12 @@ INVOCATIONS = {
         "auction",
         "--instance", str(ROOT / "instances" / "two-good-pair.json"),
         "--family", str(ROOT / "instances" / "trivial-field.json"),
+    ],
+    "auction-overlap-chain-canonical.json": ["auction", "--instance", CHAIN],
+    "auction-overlap-chain-seller.json": ["auction", "--instance", CHAIN, "--tie", "seller"],
+    "auction-overlap-chain-adversarial1.json": ["auction", "--instance", CHAIN, "--tie", "adversarial:1"],
+    "auction-dense-unordered-keys.json": [
+        "auction", "--instance", str(ROOT / "instances" / "dense-unordered-keys.json"),
     ],
     "analyze-sigma-four-good.json": [
         "analyze-sigma", "--family", str(ROOT / "instances" / "four-good-family.json"),

@@ -114,6 +114,18 @@ class GoodsUniverse:
     def _label_lengths(self) -> tuple[int, ...]:
         return tuple(sorted({len(lab) for lab in self.labels}, reverse=True))
 
+    @cached_property
+    def bundle_names(self) -> dict[str, Bundle] | None:
+        """Each bundle's canonical string (``format_bundle``) to its mask,
+        when every label is one character and m <= ``DENSE_GOODS_CAP``;
+        None otherwise."""
+        if self._label_lengths != (1,) or self.m > DENSE_GOODS_CAP:
+            return None
+        names = [""]
+        for lab in self.labels:
+            names += [name + lab for name in names]
+        return dict(zip(names, range(len(names))))
+
     def mask_of(self, labels: Iterable[str]) -> Bundle:
         mask = 0
         bits = self._bits
@@ -292,7 +304,7 @@ class AtomPacking:
     ``best(j, free)`` is V(j, free): the largest total weight of pairwise
     disjoint atoms among ``masks[j:]`` that fit inside ``free``.  The atoms
     are reordered one connected component of the goods-overlap graph at a
-    time, and by lowest good within a component; ``order[j]`` is the input
+    time, breadth-first within a component; ``order[j]`` is the input
     index of the j-th atom.  V(j, free) depends only on ``free & cover[j]``,
     where ``cover[j]`` is the union of atoms j.., so the memo is keyed on
     that: once a component's atoms are past, its goods drop out of the key
@@ -309,24 +321,20 @@ class AtomPacking:
             raise BudgetExceededError(
                 f"atom packing capped at {SPARSE_ATOMS_CAP} atoms, got {len(atoms)}"
             )
-        # (goods, [(lowest good's bit, mask, input index)]) per component
-        components: list[tuple[int, list[tuple[int, int, int]]]] = []
-        for i, (mask, _) in enumerate(atoms):
-            goods, members, apart = mask, [(mask & -mask, mask, i)], []
-            for comp in components:
-                # Components are pairwise disjoint, so one pass merges all
-                # that the new atom connects.
-                if comp[0] & goods:
-                    goods |= comp[0]
-                    members += comp[1]
-                else:
-                    apart.append(comp)
-            apart.append((goods, members))
-            components = apart
+        # Breadth-first over the goods-overlap graph, one component at a
+        # time from its least atom by (lowest good, mask): few goods are
+        # shared between placed and unplaced atoms, so the memo keys vary
+        # in few bits.
+        pending = sorted((mask & -mask, mask, i) for i, (mask, _) in enumerate(atoms))
         order = []
-        for _, members in components:
-            members.sort()
-            order += [i for _, _, i in members]
+        while pending:
+            queue = [pending.pop(0)]
+            for _, mask, i in queue:  # the queue grows while it is read
+                order.append(i)
+                rest = []
+                for item in pending:
+                    (queue if item[1] & mask else rest).append(item)
+                pending = rest
         self.order = order
         self.masks = masks = [atoms[i][0] for i in order]
         self.weights = [atoms[i][1] for i in order]
@@ -363,12 +371,16 @@ def _pack(j: int, free: Bundle, masks, weights, cover, memo) -> Value:
 
 def max_packing(atoms: Sequence[tuple[Bundle, Value]], free: Bundle) -> Value:
     """Largest total weight of pairwise-disjoint atoms inside ``free``
-    (nonzero masks, positive weights)."""
-    if len(atoms) <= 1:
-        if atoms and atoms[0][0] & free == atoms[0][0]:
-            return atoms[0][1]
-        return 0
-    return AtomPacking(atoms).best(0, free)
+    (nonzero masks, positive weights).  Atoms pairwise disjoint inside
+    ``free`` all fit at once, so they need no packing instance."""
+    total = union = 0
+    for mask, weight in atoms:
+        if mask & free == mask:
+            if union & mask:
+                return AtomPacking(atoms).best(0, free)
+            union |= mask
+            total += weight
+    return total
 
 
 def unanimity_valuation(universe: GoodsUniverse, bundle: Bundle, weight=1) -> Valuation:

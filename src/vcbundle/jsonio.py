@@ -30,6 +30,8 @@ from .sigma import FamilyClassification
 
 
 def fraction_repr(value: Value) -> int | str:
+    if type(value) is int:
+        return value
     value = Fraction(value)
     if value.denominator == 1:
         return int(value)
@@ -64,14 +66,20 @@ def _parse_valuation(universe: GoodsUniverse, doc: Any) -> Valuation:
                 f"dense valuations are capped at m <= {DENSE_GOODS_CAP} goods, got m = {universe.m}"
             )
         table = [0] * (universe.full_mask + 1)
-        keys: dict[int, str] = {}
-        for bundle_str, raw in values.items():
-            _require(isinstance(bundle_str, str), "bundle keys must be strings")
-            mask = universe.parse_bundle(bundle_str)
-            first = keys.setdefault(mask, bundle_str)
-            if first != bundle_str:
-                raise InvalidInputError(f"dense keys {first!r} and {bundle_str!r} name one bundle")
-            table[mask] = as_value(raw)
+        names = universe.bundle_names
+        if names is not None and all(map(names.__contains__, values)):
+            # Distinct canonical keys: each names its own bundle.
+            for bundle_str, raw in values.items():
+                table[names[bundle_str]] = raw if type(raw) is int else as_value(raw)
+        else:
+            keys: dict[int, str] = {}
+            for bundle_str, raw in values.items():
+                _require(isinstance(bundle_str, str), "bundle keys must be strings")
+                mask = universe.parse_bundle(bundle_str)
+                first = keys.setdefault(mask, bundle_str)
+                if first != bundle_str:
+                    raise InvalidInputError(f"dense keys {first!r} and {bundle_str!r} name one bundle")
+                table[mask] = as_value(raw)
         v = Valuation(universe, table=tuple(table))
     elif kind == "atoms":
         atoms_doc = doc.get("atoms")
@@ -82,7 +90,7 @@ def _parse_valuation(universe: GoodsUniverse, doc: Any) -> Valuation:
                      'atoms need "bundle" and "weight"')
             _require(isinstance(entry["bundle"], str), "atom bundles must be strings")
             atoms.append((universe.parse_bundle(entry["bundle"]), as_value(entry["weight"])))
-        v = Valuation.from_atoms(universe, atoms)
+        v = Valuation(universe, atoms=tuple(sorted(atoms)))
     else:
         raise InvalidInputError(f'valuation "kind" must be "dense" or "atoms", got {kind!r}')
     report = validate_valuation(v)

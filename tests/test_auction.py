@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,18 @@ def tied_atom_valuations(draw, universe: GoodsUniverse) -> Valuation:
     return Valuation.from_atoms(universe, atoms)
 
 
+@st.composite
+def block_atoms(draw) -> list:
+    """1-10 atoms of 1-3 goods, each inside one of up to four consecutive
+    blocks of m <= 9 goods, so the overlap graph has several components."""
+    m = draw(st.integers(1, 9))
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1), max_size=3)) if m > 1 else [])
+    blocks = [range(lo, hi) for lo, hi in zip([0, *cuts], [*cuts, m])]
+    goods = st.sampled_from(blocks).flatmap(lambda b: st.sets(st.sampled_from(b), min_size=1, max_size=3))
+    atom = st.tuples(goods.map(lambda gs: sum(1 << g for g in gs)), _TIED_WEIGHTS)
+    return draw(st.lists(atom, min_size=1, max_size=10))
+
+
 class TestPackingKernel:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -194,6 +207,50 @@ class TestPackingKernel:
         for mask in masks:
             for v in profile.valuations:
                 assert v.value(mask) == brute_force_packing(v.atoms, mask)
+
+    @given(atoms=block_atoms(), frees=st.lists(st.integers(0, 511), min_size=1, max_size=4))
+    @example(atoms=[(0b1001, 1), (0b0110, 1), (0b1100, 1)], frees=[0b1111])
+    @settings(max_examples=200, deadline=None)
+    def test_breadth_first_order_packs_as_brute_force(self, atoms, frees):
+        packing = AtomPacking(atoms)
+        assert sorted(packing.order) == list(range(len(atoms)))
+        assert packing.masks == [atoms[i][0] for i in packing.order]
+        assert packing.weights == [atoms[i][1] for i in packing.order]
+        # Components are contiguous, each starts at its least atom by
+        # (lowest good, mask), and every later atom of it overlaps an
+        # earlier one.
+        runs = []  # [goods, masks] per component, in order
+        seen = 0
+        for mask in packing.masks:
+            if mask & seen:
+                goods = runs[-1][0]
+                assert mask & goods and not mask & (seen ^ goods)
+                runs[-1][0] |= mask
+                runs[-1][1].append(mask)
+            else:
+                runs.append([mask, [mask]])
+            seen |= mask
+        for _, masks in runs:
+            assert masks[0] == min(masks, key=lambda x: (x & -x, x))
+        for free in frees:
+            assert packing.best(0, free) == brute_force_packing(atoms, free)
+
+    def test_breadth_first_order_memo_entries(self):
+        # Work pin: memo entries after one full solve each of 200 seeded
+        # atom sets shaped like the benchmark's sparse auctions.  Ordering
+        # by lowest good within a component instead gives 12,215.
+        rng = random.Random(2024)
+        total = 0
+        for _ in range(200):
+            m = rng.randint(20, 30)
+            atoms = [
+                (sum(1 << g for g in rng.sample(range(m), rng.randint(1, 3))), rng.randint(1, 12))
+                for _ in range(rng.randint(16, 20))
+            ]
+            packing = AtomPacking(atoms)
+            packing.best(0, (1 << m) - 1)
+            total += len(packing._memo)
+        assert total == 6_791
 
     def test_sparse_solves_leave_no_cyclic_garbage(self):
         universe = GoodsUniverse.of_size(6)

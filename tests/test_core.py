@@ -74,6 +74,12 @@ class TestUniverse:
             got = str(exc)
         assert got == longest_match()
 
+    def test_bundle_names_are_the_canonical_strings(self):
+        u = GoodsUniverse(("b", "a", "c", "d"))
+        assert u.bundle_names == {u.format_bundle(mask): mask for mask in u.all_bundles()}
+        assert GoodsUniverse(("a", "b", "ab")).bundle_names is None
+        assert GoodsUniverse.of_size(15).bundle_names is None
+
     def test_large_universe_labels(self):
         u = GoodsUniverse.of_size(30)
         assert u.labels[26] == "g26"
@@ -119,6 +125,14 @@ class TestEval:
         v = Valuation.from_atoms(u2, atoms)
         assert brute_force_packing(atoms, 3) == 3
         assert v.value(3) == 3
+
+    def test_disjoint_atoms_past_the_atom_cap_add(self):
+        # Pairwise-disjoint atoms need no packing instance, so the atom cap
+        # does not apply to them.
+        u = GoodsUniverse.of_size(70)
+        v = Valuation.from_atoms(u, [(1 << g, 1) for g in range(70)])
+        assert v.value(u.full_mask) == 70
+        assert v.value(u.full_mask ^ 1) == 69
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)

@@ -1,8 +1,11 @@
+import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vcbundle import InvalidInputError, run_vc
+from vcbundle import GoodsUniverse, InvalidInputError, run_vc
 from vcbundle.jsonio import (
     dumps,
     flatten_csv,
@@ -59,6 +62,39 @@ def test_duplicate_dense_keys_rejected():
     # "ab" and "ba" name one bundle; neither value may silently win
     with pytest.raises(InvalidInputError, match="'ab' and 'ba'"):
         parse_instance(doc)
+
+
+_LABEL_SETS = [("a", "b", "c"), ("b", "a", "c", "d"), ("a", "b", "ab"), ("x", "yz", "y")]
+_RAW_VALUES = st.sampled_from([0, 1, 2, 3, "1/2", "3", 1.5, True, "x", -1, None])
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_dense_keys_from_the_name_table_parse_as_the_per_key_loop(data):
+    # Keys in drawn label orders ("ba"), so pairs like "ab"/"ba" name one
+    # bundle, plus unknown labels, over one-character, multi-character and
+    # ambiguous ("a", "b", "ab") label sets.  The table, or the error
+    # message, equals the parse with the name table switched off.
+    labels = data.draw(st.sampled_from(_LABEL_SETS))
+    values = {}
+    if data.draw(st.booleans()):
+        for size in range(len(labels) + 1):
+            for combo in itertools.combinations(labels, size):
+                values["".join(data.draw(st.permutations(combo)))] = size
+    extra = st.lists(st.sampled_from(labels + ("q",)), max_size=4).map("".join)
+    for key in data.draw(st.lists(extra, max_size=4)):
+        values[key] = data.draw(_RAW_VALUES)
+    doc = {"goods": list(labels), "valuations": [{"kind": "dense", "values": values}]}
+
+    def parse():
+        try:
+            return [(type(x), x) for x in parse_instance(doc).valuations[0].table]
+        except InvalidInputError as exc:
+            return str(exc)
+
+    with mock.patch.object(GoodsUniverse, "bundle_names", None):
+        expected = parse()
+    assert parse() == expected
 
 
 def test_unknown_kind_rejected():
