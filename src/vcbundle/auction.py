@@ -37,8 +37,6 @@ from .core import (
 )
 from .sigma import _minimal_supersets, partition_of_family
 
-_ZERO = 0
-
 
 @dataclass(frozen=True)
 class TieBreak:
@@ -93,11 +91,6 @@ def _tie_costs(profile: Profile, tie: TieBreak, reference: Profile | None):
 
 
 def _dense_tables(profile: Profile) -> list:
-    m = profile.universe.m
-    if m > DENSE_GOODS_CAP:
-        raise BudgetExceededError(
-            f"dense winner determination capped at m <= {DENSE_GOODS_CAP} goods, got m = {m}"
-        )
     return [v.to_dense().table for v in profile.valuations]
 
 
@@ -111,7 +104,7 @@ def _dense_rows(tables):
     set only (2^m steps), so it is the one-entry mapping ``{full: best}``.
     """
     size = len(tables[0])
-    rows = [[_ZERO] * size]
+    rows = [[0] * size]
     if len(tables) > 1:
         rows.insert(0, submask_max(tables[-1]))
     for vals in tables[-2:0:-1]:
@@ -227,7 +220,7 @@ def _sparse_solve(profile: Profile, tie: TieBreak, reference: Profile | None):
     need = packing.best(0, full)
     free = full
     masks = [0] * profile.n
-    value = _ZERO
+    value = 0
     for j, (mask, weight, index) in enumerate(zip(packing.masks, packing.weights, packing.order)):
         if mask & free == mask and need:
             rest = packing.best(j + 1, free ^ mask)
@@ -337,7 +330,8 @@ def sigma_optimal_surplus(profile: Profile, family: BundleFamily) -> tuple[Alloc
     The seller's remainder is unconstrained (padding with the empty bundle
     and free disposal make it surplus-irrelevant).  Partition-generated
     families reduce to a k-meta-good winner determination; other families run
-    an exact assignment search over family bundles.
+    one memoised search over family bundles that keeps the least optimal
+    bundle tuple.
     """
     if family.universe != profile.universe:
         raise InvalidInputError("profile and family universes differ")
@@ -346,70 +340,49 @@ def sigma_optimal_surplus(profile: Profile, family: BundleFamily) -> tuple[Alloc
         return _partition_surplus(profile, partition)
 
     bundles = [b for b in family.sorted_bundles if b]
-    n = profile.n
-
-    def candidates_for(v: Valuation) -> list[Bundle]:
+    options = []
+    for v in profile.valuations:
         # A single-atom buyer never needs more than the inclusion-minimal
         # family supersets of the atom: any available superset contains an
         # available minimal one of no larger mask, so the optimum and the
-        # canonical reconstruction are both unchanged.
-        if v.atoms is None:
-            return bundles
-        live = [(a, w) for a, w in v.atoms if a and w]
-        if not live:
-            return []
-        if len(live) > 1:
-            return bundles
-        return _minimal_supersets(live[0][0], bundles)
+        # least optimal tuple are both unchanged.  A buyer with no live atom
+        # is worth 0 everywhere.
+        candidates = bundles
+        if v.atoms is not None:
+            live = [a for a, w in v.atoms if a and w]
+            if len(live) < 2:
+                candidates = _minimal_supersets(live[0], bundles) if live else []
+        # A bundle worth 0 or less never beats the empty bundle, because the
+        # search is monotone in ``free``.
+        options.append([(c, w) for c in candidates if (w := v.value(c)) > 0])
+    total, masks = _family_search(0, profile.universe.full_mask, options, {})
+    return Allocation(profile.universe, masks), total
 
-    # Per buyer, the (bundle, value) pairs worth more than 0, in ascending
-    # mask order: a bundle worth 0 or less never beats the empty bundle,
-    # because solve is monotone in ``free``.
-    options = []
-    for v in profile.valuations:
-        pairs = []
-        for c in candidates_for(v):
-            w = v.value(c)
-            if w > 0:
-                pairs.append((c, w))
-        options.append(pairs)
-    best_cache: dict[tuple[int, int], Value] = {}
 
-    def solve(i: int, free: int) -> Value:
-        if i == n:
-            return _ZERO
-        key = (i, free)
-        got = best_cache.get(key)
-        if got is not None:
-            return got
-        best = solve(i + 1, free)  # the empty bundle is always in the family
+def _family_search(i: int, free: Bundle, options, memo) -> tuple[Value, tuple[Bundle, ...]]:
+    """(best surplus of buyers i.. on family bundles inside ``free``, the
+    least bundle tuple that reaches it).
+
+    ``options[i]`` lists buyer i's (bundle, value) pairs in ascending mask
+    order.  The empty bundle is tried first and an option is taken only when
+    it is strictly better, so the first bundle that reaches the optimum
+    wins, followed by the least tuple of the state it leaves.
+    """
+    if i == len(options):
+        return 0, ()
+    key = (i, free)
+    got = memo.get(key)
+    if got is None:
+        best, tail = _family_search(i + 1, free, options, memo)
+        pick = 0
         for c, w in options[i]:
             if c & free == c:
-                cand = w + solve(i + 1, free ^ c)
+                value, rest = _family_search(i + 1, free ^ c, options, memo)
+                cand = w + value
                 if cand > best:
-                    best = cand
-        best_cache[key] = best
-        return best
-
-    full = profile.universe.full_mask
-    total = solve(0, full)
-    masks = []
-    free = full
-    for i in range(n):
-        target = solve(i, free)
-        chosen = None
-        if solve(i + 1, free) == target:
-            chosen = 0  # canonical: the empty bundle comes first
-        else:
-            for c, w in options[i]:
-                if c & free == c and w + solve(i + 1, free ^ c) == target:
-                    chosen = c
-                    break
-        if chosen is None:
-            raise InternalInvariantError("family assignment reconstruction lost the optimum")
-        masks.append(chosen)
-        free ^= chosen
-    return Allocation(profile.universe, tuple(masks)), total
+                    best, pick, tail = cand, c, rest
+        got = memo[key] = best, (pick, *tail)
+    return got
 
 
 @dataclass(frozen=True)
@@ -423,7 +396,7 @@ class AuctionOutcome:
     def __post_init__(self) -> None:
         if any(p < 0 for p in self.payments):
             raise InternalInvariantError("pivot payments must be nonnegative")
-        if self.revenue != sum(self.payments, _ZERO):
+        if self.revenue != sum(self.payments):
             raise InternalInvariantError("revenue must equal total payments")
 
 
@@ -438,7 +411,7 @@ def _payment(without: Value, others_at: Value) -> Value:
 
 def _payment_at(profile: Profile, i: int, others_at: Value) -> Value:
     rest = profile.drop(i)
-    return _payment(_ZERO if rest is None else max_surplus(rest), others_at)
+    return _payment(0 if rest is None else max_surplus(rest), others_at)
 
 
 def _sparse_payments(profile: Profile, values, total: Value) -> tuple[Value, ...]:
@@ -480,7 +453,7 @@ def clarke_payment(
     """Externality payment of buyer i at the tie-chosen optimal allocation."""
     allocation, _ = optimal_allocation(profile, tie, reference)
     values = _values_at(profile, allocation)
-    return _payment_at(profile, i, sum(values, _ZERO) - values[i])
+    return _payment_at(profile, i, sum(values) - values[i])
 
 
 def run_vc(
@@ -499,7 +472,7 @@ def run_vc(
         reference = true_profile if true_profile is not None else reported
     allocation, reported_surplus = optimal_allocation(reported, tie, reference)
     values = _values_at(reported, allocation)
-    total = sum(values, _ZERO)
+    total = sum(values)
     if reported.all_sparse:
         payments = _sparse_payments(reported, values, total)
     else:
@@ -508,8 +481,8 @@ def run_vc(
         if true_profile.n != reported.n or true_profile.universe != reported.universe:
             raise InvalidInputError("true profile shape mismatch")
         values = _values_at(true_profile, allocation)
-    surplus = sum(values, _ZERO)
-    revenue = sum(payments, _ZERO)
+    surplus = sum(values)
+    revenue = sum(payments)
     utilities = tuple(val - pay for val, pay in zip(values, payments))
     if true_profile is None:
         if surplus != reported_surplus:

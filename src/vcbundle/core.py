@@ -48,10 +48,6 @@ class InternalInvariantError(AssertionError):
     """A mathematically guaranteed invariant failed (CLI exit code 3)."""
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -125,16 +121,6 @@ class GoodsUniverse:
         for lab in self.labels:
             names += [name + lab for name in names]
         return dict(zip(names, range(len(names))))
-
-    def mask_of(self, labels: Iterable[str]) -> Bundle:
-        mask = 0
-        bits = self._bits
-        for lab in labels:
-            try:
-                mask |= bits[lab]
-            except KeyError:
-                raise InvalidInputError(f"unknown good label {lab!r}") from None
-        return mask
 
     def parse_bundle(self, text: str) -> Bundle:
         """Parse concatenated labels ("abc"); "" is the empty bundle.
@@ -541,7 +527,7 @@ class Partition:
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(popcount(p) for p in self.parts)
+        return tuple(p.bit_count() for p in self.parts)
 
 
 def partition_from_sizes(sizes: Sequence[int], universe: GoodsUniverse | None = None) -> Partition:

@@ -32,8 +32,6 @@ from .sigma import (
 )
 from .auction import max_surplus, sigma_optimal_surplus
 
-_ZERO = 0
-
 
 def deviation_gap(family: BundleFamily, profile: Profile, buyer: int) -> Value:
     """Utility a buyer forgoes by projection-reporting instead of the truth,
@@ -65,7 +63,7 @@ def _max_gap(family: BundleFamily, profile: Profile, buyers) -> Value:
             raise InvalidInputError(f"the deviation gap needs valid valuations; buyer {i + 1}: {report.reason}")
     projected = project_profile(profile, family)
     restricted = max_surplus(projected)
-    worst = _ZERO
+    worst = 0
     for i in buyers:
         if projected.valuations[i] == profile.valuations[i]:
             continue
@@ -176,7 +174,7 @@ def random_monotone_valuation(
     """Dense valuation from random integer values, monotonized upward."""
     size = universe.full_mask + 1
     table = [rng.randint(0, max_value) for _ in range(size)]
-    table[0] = _ZERO
+    table[0] = 0
     return Valuation(universe, table=tuple(submask_max(table)))
 
 

@@ -26,13 +26,10 @@ from .core import (
     as_value,
     exact_ratio,
     iter_bits,
-    popcount,
 )
 from .sigma import field_of_partition
 from .auction import max_surplus, sigma_optimal_surplus
 from .equilibrium import RatioEstimate, disjoint_unanimity_families, unanimity_profile
-
-_ZERO = 0
 
 
 def phi(k: int) -> Fraction:
@@ -131,8 +128,8 @@ def _search_with_target(caps: tuple[int, ...], target: int) -> tuple[int, ...] |
     into, cutting the part-permutation symmetry.
     """
     k = len(caps)
-    candidates = sorted(range(1, 1 << k), key=lambda msk: (popcount(msk), msk))
-    sizes = [popcount(c) for c in candidates]
+    candidates = sorted(range(1, 1 << k), key=lambda msk: (msk.bit_count(), msk))
+    sizes = [c.bit_count() for c in candidates]
     bits_of = [tuple(iter_bits(c)) for c in candidates]
     runs = _equal_cap_runs(caps)
 
@@ -285,11 +282,11 @@ def check_semi_balanced(sets: Sequence[int], k: int, delta: Sequence) -> SemiBal
     _check_intersecting(sets, k)
     valid = True
     for l in range(k):
-        load = sum((w for h, w in zip(sets, weights) if h >> l & 1), _ZERO)
+        load = sum(w for h, w in zip(sets, weights) if h >> l & 1)
         if load > 1:
             valid = False
             break
-    total = sum(weights, _ZERO)
+    total = sum(weights)
     phi_k = phi(k)
     return SemiBalancedReport(valid, total, phi_k, bound_ok=total <= phi_k)
 
@@ -434,6 +431,6 @@ def balanced_family(universe: GoodsUniverse) -> BundleFamily:
     members = [
         d
         for d in universe.all_bundles()
-        if popcount(d & left) == popcount(d & right)
+        if (d & left).bit_count() == (d & right).bit_count()
     ]
     return BundleFamily(universe, frozenset(members))

@@ -43,7 +43,8 @@ class FamilyClassification:
 
 
 def classify_family(family: BundleFamily) -> FamilyClassification:
-    """Check complement- and disjoint-union-closure, plus full field status.
+    """Check complement- and disjoint-union-closure, plus full field status
+    (a partition field, recovered by ``partition_of_family``).
 
     The witness is minimal in canonical order: complements are scanned over
     bundles in ascending bitmask order first, then disjoint pairs (B, C) with
@@ -59,15 +60,9 @@ def classify_family(family: BundleFamily) -> FamilyClassification:
         for c in bundles[i + 1 :]:
             if b & c == 0 and (b | c) not in members:
                 return FamilyClassification(False, False, missing_union=(b, c))
-    is_field = True
-    for i, b in enumerate(bundles):
-        for c in bundles[i + 1 :]:
-            if (b | c) not in members or (b & c) not in members:
-                is_field = False
-                break
-        if not is_field:
-            break
-    return FamilyClassification(True, is_field)
+    # A finite family closed under complements, unions and intersections is
+    # the field of the partition into its atoms.
+    return FamilyClassification(True, partition_of_family(family) is not None)
 
 
 def is_quasi_field(family: BundleFamily) -> bool:

@@ -88,6 +88,25 @@ def brute_force_sigma_surplus(profile: Profile, bundles) -> Fraction:
     return rec(0, 0)
 
 
+def brute_force_least_sigma_tuple(profile: Profile, bundles):
+    """(best surplus, least optimal bundle tuple) over every assignment of
+    pairwise-disjoint family bundles to the buyers, the empty bundle
+    included, by trying each one in lexicographic order."""
+    members = sorted(set(bundles) | {0})
+    best, least = None, None
+    for masks in itertools.product(members, repeat=profile.n):
+        union = 0
+        for mask in masks:
+            if union & mask:
+                break
+            union |= mask
+        else:
+            surplus = sum((v.value(b) for v, b in zip(profile.valuations, masks)), ZERO)
+            if best is None or surplus > best:
+                best, least = surplus, masks
+    return best, least
+
+
 def brute_force_packing(atoms, mask: int) -> Fraction:
     """Max-weight pairwise-disjoint sub-collection inside mask, by trying
     every sub-collection."""

@@ -18,6 +18,7 @@ from vcbundle import (
     max_surplus,
     optimal_allocation,
     partition_from_sizes,
+    partition_of_family,
     project_profile,
     run_vc,
     sigma_optimal_surplus,
@@ -26,6 +27,7 @@ from vcbundle import (
 )
 from vcbundle.core import AtomPacking
 from conftest import (
+    brute_force_least_sigma_tuple,
     brute_force_optima,
     brute_force_packing,
     brute_force_sigma_surplus,
@@ -266,6 +268,8 @@ class TestPackingKernel:
             "max_surplus": lambda: max_surplus(profile),
             "run_vc": lambda: run_vc(profile, TieBreak.seller_favoring()),
             "Valuation.value": lambda: profile.valuations[0].value(universe.full_mask),
+            "sigma_optimal_surplus": lambda: sigma_optimal_surplus(
+                profile, BundleFamily.of(universe, [a | b, c, b | c, d | e, e | f, a, f])),
         }
         enabled = gc.isenabled()
         gc.disable()
@@ -581,6 +585,10 @@ class TestSigmaOptimalSurplus:
         assert alloc.surplus(profile) == s
         # independent recursion over family bundles
         assert s == brute_force_sigma_surplus(profile, fam.bundles)
+        if partition_of_family(fam) is None:
+            # the partition route orders by meta-goods, so only the family
+            # search promises the least optimal tuple
+            assert (s, alloc.buyer_bundles) == brute_force_least_sigma_tuple(profile, fam.bundles)
         # identity: restricted optimum equals the optimum of the projections
         projected = project_profile(profile, fam)
         assert s == max_surplus(projected)

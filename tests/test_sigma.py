@@ -19,6 +19,7 @@ from vcbundle import (
     quasi_field_closure,
     unanimity_valuation,
 )
+from vcbundle.sigma import enumerate_families
 from conftest import bundle_families, dense_valuations
 
 
@@ -178,6 +179,25 @@ class TestSmallUniverseCoincidence:
                 cls = classify_family(BundleFamily.of(universe, extra))
                 if cls.is_quasi_field:
                     assert cls.is_field
+
+    def test_field_status_matches_pairwise_closure_up_to_four_goods(self):
+        # From m = 4 on, some quasi fields are not fields, e.g. {ab, cd, ac,
+        # bd} with their complements and the empty and full bundles.
+        quasi, fields = [], []
+        for m in range(1, 5):
+            counts = [0, 0]
+            for fam in enumerate_families(GoodsUniverse.of_size(m)):
+                cls = classify_family(fam)
+                if cls.is_quasi_field:
+                    members = fam.bundles
+                    closed = all(b | c in members and b & c in members for b in members for c in members)
+                    assert cls.is_field == closed, sorted(members)
+                    counts[0] += 1
+                    counts[1] += closed
+            quasi.append(counts[0])
+            fields.append(counts[1])
+        assert quasi == [1, 2, 5, 19]
+        assert fields == [1, 2, 5, 15]
 
 
 class TestCounterexample:
