@@ -339,22 +339,22 @@ def sigma_optimal_surplus(profile: Profile, family: BundleFamily) -> tuple[Alloc
     if partition is not None:
         return _partition_surplus(profile, partition)
 
-    bundles = [b for b in family.sorted_bundles if b]
+    bundles = family.sorted_bundles[1:]
     options = []
     for v in profile.valuations:
         # A single-atom buyer never needs more than the inclusion-minimal
-        # family supersets of the atom: any available superset contains an
-        # available minimal one of no larger mask, so the optimum and the
-        # least optimal tuple are both unchanged.  A buyer with no live atom
-        # is worth 0 everywhere.
-        candidates = bundles
+        # family supersets of the atom, each worth the atom's weight: any
+        # available superset contains an available minimal one of no larger
+        # mask, so the optimum and the least optimal tuple are both
+        # unchanged.  A buyer with no live atom is worth 0 everywhere.
         if v.atoms is not None:
-            live = [a for a, w in v.atoms if a and w]
+            live = [(a, w) for a, w in v.atoms if a and w]
             if len(live) < 2:
-                candidates = _minimal_supersets(live[0], bundles) if live else []
+                options.append([(c, w) for a, w in live for c in _minimal_supersets(a, bundles)])
+                continue
         # A bundle worth 0 or less never beats the empty bundle, because the
         # search is monotone in ``free``.
-        options.append([(c, w) for c in candidates if (w := v.value(c)) > 0])
+        options.append([(c, w) for c in bundles if (w := v.value(c)) > 0])
     total, masks = _family_search(0, profile.universe.full_mask, options, {})
     return Allocation(profile.universe, masks), total
 

@@ -4,6 +4,7 @@ counterexample construction for families that are not quasi fields.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .core import (
@@ -81,10 +82,26 @@ def field_of_partition(partition: Partition) -> BundleFamily:
     return BundleFamily(partition.universe, frozenset(unions))
 
 
+# partition_of_family's results, None included.  Keys are held weakly, so an
+# entry goes with its family; values must not refer to the family.
+_PARTITIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_UNKNOWN = object()
+
+
 def partition_of_family(family: BundleFamily) -> Partition | None:
     """Recover the generating partition if the family is a partition field.
 
-    The candidate part of good g is the intersection of all members
+    Recovery runs once per family; later calls on it, or on an equal family,
+    read the result from a weakly keyed cache.
+    """
+    partition = _PARTITIONS.get(family, _UNKNOWN)
+    if partition is _UNKNOWN:
+        partition = _PARTITIONS[family] = _recover_partition(family)
+    return partition
+
+
+def _recover_partition(family: BundleFamily) -> Partition | None:
+    """The candidate part of good g is the intersection of all members
     containing g; the family is a partition field iff those candidates are
     pairwise disjoint, every member is a union of them, and the family holds
     all 2^k unions.
@@ -122,18 +139,31 @@ def partition_of_family(family: BundleFamily) -> Partition | None:
 
 
 def _minimal_supersets(atom: Bundle, bundles) -> list[Bundle]:
-    """The inclusion-minimal members of ``bundles`` that contain ``atom``, in
-    the given order."""
-    sups = [c for c in bundles if c & atom == atom]
-    return [c for c in sups if not any(o != c and o & c == o for o in sups)]
+    """The inclusion-minimal members of ``bundles`` that contain ``atom``;
+    ``bundles`` must ascend, and so does the result.
+
+    One pass: a proper subset has a smaller mask, so it comes first, and a
+    superset is minimal iff no superset kept before it lies inside it.
+    """
+    kept = []
+    for c in bundles:
+        if c & atom == atom:
+            for k in kept:
+                if k & c == k:
+                    break
+            else:
+                kept.append(c)
+    return kept
 
 
 def project_valuation(v: Valuation, family: BundleFamily) -> Valuation:
-    """v^Σ(B) = max value of a family bundle contained in B.
+    """v^Σ(B) = max(0, max{v(C) : C ∈ Σ, C ⊆ B}).
 
-    Dense in, dense out.  A single-atom (scaled unanimity) valuation projects
-    losslessly to atoms on the minimal family supersets of its bundle, which
-    works at any m.  Multi-atom sparse valuations go through a dense table.
+    This holds as stated for any table, monotone and normalised or not; the
+    table is not validated.  Dense in, dense out.  A single-atom (scaled
+    unanimity) valuation projects losslessly to atoms on the minimal family
+    supersets of its bundle, which works at any m.  Multi-atom sparse
+    valuations go through a dense table.
     """
     if v.universe != family.universe:
         raise InvalidInputError("valuation and family universes differ")

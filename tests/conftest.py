@@ -5,9 +5,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from vcbundle import GoodsUniverse, Profile, Valuation
+
+# Exact-arithmetic examples vary widely in run time, so no per-example
+# deadline; each test keeps its own max_examples.
+settings.register_profile("vcbundle", deadline=None)
+settings.load_profile("vcbundle")
 
 ZERO = Fraction(0)
 

@@ -66,7 +66,7 @@ class TestOptimalAllocation:
         assert s_max == 3 and alloc.surplus(prof) == 3
 
     @given(profile=small_profiles())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_matches_brute_force_and_canonical_is_lex_min(self, profile):
         best, optima = brute_force_optima(profile)
         alloc, s_max = optimal_allocation(profile)
@@ -74,7 +74,7 @@ class TestOptimalAllocation:
         assert alloc.buyer_bundles == min(optima)
 
     @given(profile=small_profiles(sparse_only=True))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_sparse_and_dense_routes_agree(self, profile):
         dense = Profile(profile.universe, tuple(v.to_dense() for v in profile.valuations))
         for tie in (TieBreak.canonical(), TieBreak.seller_favoring()):
@@ -84,7 +84,7 @@ class TestOptimalAllocation:
             assert a1.buyer_bundles == a2.buyer_bundles
 
     @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_adversarial_routes_agree_with_independent_reference(self, data):
         profile = data.draw(small_profiles(max_m=3, sparse_only=True))
         universe = profile.universe
@@ -113,7 +113,7 @@ class TestOptimalAllocation:
         assert a1.buyer_bundles == min(optima, key=key)
 
     @given(profile=small_profiles(), buyer=st.integers(0, 2))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_tie_rules_pick_from_the_optimal_set(self, profile, buyer):
         buyer %= profile.n
         best, optima = brute_force_optima(profile)
@@ -182,7 +182,7 @@ def block_atoms(draw) -> list:
 
 class TestPackingKernel:
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_larger_sparse_profiles_match_dense_route_and_brute_force(self, data):
         universe = GoodsUniverse.of_size(data.draw(st.integers(5, 8)))
         n = data.draw(st.integers(1, 5))
@@ -212,7 +212,7 @@ class TestPackingKernel:
 
     @given(atoms=block_atoms(), frees=st.lists(st.integers(0, 511), min_size=1, max_size=4))
     @example(atoms=[(0b1001, 1), (0b0110, 1), (0b1100, 1)], frees=[0b1111])
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_breadth_first_order_packs_as_brute_force(self, atoms, frees):
         packing = AtomPacking(atoms)
         assert sorted(packing.order) == list(range(len(atoms)))
@@ -313,7 +313,7 @@ class TestNonMonotoneTables:
     tables that are not monotone."""
 
     @given(data=st.data())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_dense_route_matches_brute_force(self, data):
         profile = data.draw(raw_mixed_profiles())
         universe = profile.universe
@@ -431,7 +431,7 @@ class TestExactTieObjective:
 
     @given(case=fractional_tie_cases())
     @example(case=_two_buyers_one_good())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_fractional_tie_rules_match_brute_force(self, case):
         sparse, dense_raw, reference, buyer = case
 
@@ -507,7 +507,7 @@ class TestSparsePayments:
     """All-sparse run_vc reads every drop-one optimum from one shared packing."""
 
     @given(data=st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_payments_match_brute_force_drop_one_optima(self, data):
         universe = GoodsUniverse.of_size(data.draw(st.integers(1, 6)))
         n = data.draw(st.integers(1, 5))
@@ -572,7 +572,7 @@ class TestSigmaOptimalSurplus:
         assert s == max_surplus(prof)
 
     @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_cross_check_identity_and_direct_recursion(self, data):
         profile = data.draw(small_profiles(max_m=3))
         universe = profile.universe
@@ -594,7 +594,7 @@ class TestSigmaOptimalSurplus:
         assert s == max_surplus(projected)
 
     @given(data=st.data())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_remark_upper_bound_by_buyer_count(self, data):
         profile = data.draw(small_profiles(max_m=3, max_n=4))
         universe = profile.universe
@@ -651,7 +651,7 @@ class TestRunVC:
         assert (out_pi.surplus, out_pi.revenue) == (1, 1)
 
     @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_truth_dominates_and_is_individually_rational(self, data):
         profile = data.draw(small_profiles(max_m=3))
         buyer = data.draw(st.integers(0, profile.n - 1))
@@ -673,7 +673,7 @@ class TestRunVC:
         assert truthful_utilities[0] == truthful_utilities[1] == truthful_utilities[2]
 
     @given(profile=small_profiles(max_m=3))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_truthful_accounting_identities(self, profile):
         out = run_vc(profile)
         assert out.revenue == sum(out.payments, Fraction(0))

@@ -44,7 +44,7 @@ class TestUniverse:
             wide.parse_bundle("g27g3g27")
 
     @given(data=st.data())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_single_character_labels_parse_as_longest_match(self, data):
         # Universes of one-character labels; the text mixes labels, repeats
         # and characters outside the universe.  The parse, or its error
@@ -135,7 +135,7 @@ class TestEval:
         assert v.value(u.full_mask ^ 1) == 69
 
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_packing_matches_brute_force(self, data):
         m = data.draw(st.integers(1, 4))
         universe = GoodsUniverse.of_size(m)
@@ -182,7 +182,7 @@ class TestValidation:
         assert not report.ok
 
     @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_accepted_valuations_are_monotone(self, data):
         m = data.draw(st.integers(1, 4))
         universe = GoodsUniverse.of_size(m)
@@ -195,7 +195,7 @@ class TestValidation:
 
 
     @given(data=st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_report_matches_a_bundle_by_bundle_scan(self, data):
         # Monotone tables with a few entries moved, some of them below zero
         # or at the empty bundle: the report (verdict, reason and first
@@ -230,7 +230,7 @@ class TestValidation:
 
 class TestRepresentations:
     @given(data=st.data())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_sparse_to_dense_agrees_everywhere(self, data):
         m = data.draw(st.integers(1, 6))
         universe = GoodsUniverse.of_size(m)

@@ -60,7 +60,7 @@ class TestDeviationGap:
         for buyer in range(prof.n):
             assert deviation_gap(fam, prof, buyer) == 0
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(seed=st.integers(0, 10_000))
     def test_random_quasi_fields_have_zero_gap_on_sweeps(self, seed):
         rng = random.Random(seed)
@@ -70,7 +70,7 @@ class TestDeviationGap:
             for buyer in range(profile.n):
                 assert deviation_gap(fam, profile, buyer) == 0
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(seed=st.integers(0, 10_000))
     def test_random_quasi_fields_have_zero_gap_on_dense_profiles(self, seed):
         rng = random.Random(seed)
@@ -94,7 +94,7 @@ class TestDeviationGap:
 
 
 class TestSweepHelperAgreement:
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(seed=st.integers(0, 10_000))
     def test_max_profile_gap_equals_per_buyer_maximum(self, seed):
         from vcbundle.equilibrium import max_profile_gap
@@ -111,7 +111,7 @@ class TestSweepHelperAgreement:
             expected = max(deviation_gap(fam, profile, buyer) for buyer in range(profile.n))
             assert max_profile_gap(fam, profile) == expected
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(data=st.data())
     def test_gaps_match_the_brute_force_oracle(self, data):
         from vcbundle.equilibrium import max_profile_gap

@@ -69,7 +69,7 @@ _RAW_VALUES = st.sampled_from([0, 1, 2, 3, "1/2", "3", 1.5, True, "x", -1, None]
 
 
 @given(data=st.data())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_dense_keys_from_the_name_table_parse_as_the_per_key_loop(data):
     # Keys in drawn label orders ("ba"), so pairs like "ab"/"ba" name one
     # bundle, plus unknown labels, over one-character, multi-character and

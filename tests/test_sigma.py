@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from vcbundle import (
     BundleFamily,
     GoodsUniverse,
     InvalidInputError,
+    Valuation,
     classify_family,
     deviation_gap,
     equilibrium_counterexample,
@@ -17,8 +20,11 @@ from vcbundle import (
     partition_of_family,
     project_valuation,
     quasi_field_closure,
+    sigma_optimal_surplus,
+    unanimity_profile,
     unanimity_valuation,
 )
+from vcbundle import sigma
 from vcbundle.sigma import enumerate_families
 from conftest import bundle_families, dense_valuations
 
@@ -73,7 +79,7 @@ class TestFieldOfPartition:
         assert len(field_of_partition(part)) == 8
 
     @given(data=st.data())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_partition_fields_are_fields(self, data):
         m = data.draw(st.integers(1, 6))
         universe = GoodsUniverse.of_size(m)
@@ -118,7 +124,7 @@ class TestProjection:
             assert proj.value(mask) == 0
 
     @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_idempotent_dominated_monotone(self, data):
         m = data.draw(st.integers(1, 4))
         universe = GoodsUniverse.of_size(m)
@@ -135,13 +141,102 @@ class TestProjection:
 
     def test_multi_atom_projection_goes_dense(self, u4):
         fam = family_of(u4, "ab", "cd", "abcd")
-        from vcbundle import Valuation
-
         v = Valuation.from_atoms(u4, [(u4.parse_bundle("a"), 1), (u4.parse_bundle("c"), 2)])
         proj = project_valuation(v, fam)
         assert proj.value(u4.parse_bundle("ab")) == 1
         assert proj.value(u4.parse_bundle("abc")) == 1
         assert proj.value(u4.full_mask) == 3
+
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_tables_neither_monotone_nor_normalised(self, data):
+        # v^Σ(B) = max(0, max{v(C) : C ∈ Σ, C ⊆ B}), whatever the table.
+        m = data.draw(st.integers(1, 4))
+        universe = GoodsUniverse.of_size(m)
+        size = universe.full_mask + 1
+        table = data.draw(st.lists(st.integers(-4, 6), min_size=size, max_size=size))
+        fam = data.draw(bundle_families(universe))
+        proj = project_valuation(Valuation(universe, table=tuple(table)), fam)
+        for mask in universe.all_bundles():
+            inside = [table[c] for c in fam.bundles if c & mask == c]
+            assert proj.value(mask) == max([0] + inside)
+
+
+@st.composite
+def family_and_atom(draw):
+    """(family, atom) over m <= 6 goods.  Besides free draws, make atoms that
+    no member contains, and families whose supersets of the atom are
+    K = atom+x, N = atom+x+w and M = atom+y with x < w < y: M is minimal with
+    a larger mask than the non-minimal N, so popcount order is not mask
+    order and minimality cannot be read off a bundle's position."""
+    m = draw(st.integers(1, 6))
+    full = (1 << m) - 1
+    extras = draw(st.sets(st.integers(0, full), max_size=12))
+    shape = draw(st.sampled_from(["free", "uncovered", "crossed"] if m >= 4 else ["free", "uncovered"]))
+    if shape == "crossed":
+        x, w, y = sorted(draw(st.sets(st.integers(0, m - 1), min_size=3, max_size=3)))
+        outside = full & ~(1 << x | 1 << w | 1 << y)
+        atom = draw(st.integers(1, full).map(lambda a: a & outside).filter(bool))
+        extras = {c for c in extras if c & atom != atom}
+        extras |= {atom | 1 << x, atom | 1 << x | 1 << w, atom | 1 << y}
+    else:
+        atom = draw(st.integers(1, full))
+        if shape == "uncovered":
+            extras = {c for c in extras if c & atom != atom}
+    return BundleFamily.of(GoodsUniverse.of_size(m), extras), atom, shape
+
+
+class TestFamilyStructure:
+    @given(case=family_and_atom())
+    @settings(max_examples=200)
+    def test_minimal_supersets_match_the_quadratic_definition(self, case):
+        fam, atom, shape = case
+        sups = [c for c in fam.bundles if c & atom == atom]
+        expected = sorted(c for c in sups if not any(o != c and o & c == o for o in sups))
+        got = sigma._minimal_supersets(atom, fam.sorted_bundles)
+        assert got == expected
+        if shape == "uncovered":
+            assert got == []
+        if shape == "crossed":
+            assert max(got) > min(set(sups) - set(got))
+
+    def test_partition_recovery_runs_once_per_family(self, monkeypatch):
+        calls = []
+        recover = sigma._recover_partition
+
+        def counting(family):
+            calls.append(family)
+            return recover(family)
+
+        monkeypatch.setattr(sigma, "_recover_partition", counting)
+        universe = GoodsUniverse.of_size(5)
+        field = field_of_partition(partition_from_sizes([2, 1, 2], universe))
+        pairs = family_of(universe, "ab", "cde", "ac", "bde", "abcde")
+        profile = unanimity_profile(universe, (universe.parse_bundle("ab"), universe.parse_bundle("c")))
+        for fam in (field, pairs):
+            calls.clear()
+            fam.sorted_bundles  # the family's own cached field, filled before the snapshot
+            keys = set(vars(fam))
+            first = partition_of_family(fam)
+            for _ in range(3):
+                assert partition_of_family(fam) == first
+                classify_family(fam)
+                sigma_optimal_surplus(profile, fam)
+            assert calls == [fam]
+            twin = BundleFamily(universe, frozenset(fam.bundles))
+            assert twin is not fam and partition_of_family(twin) == first
+            assert set(vars(fam)) == keys
+        assert partition_of_family(field) == partition_from_sizes([2, 1, 2], universe)
+        assert partition_of_family(pairs) is None
+
+        twin = BundleFamily(universe, frozenset(pairs.bundles))
+        alive = weakref.ref(pairs)
+        calls.clear()
+        del pairs, fam
+        gc.collect()
+        assert alive() is None
+        assert partition_of_family(twin) is None
+        assert calls == [twin]  # the entry went with its family
 
 
 class TestClosure:
@@ -159,7 +254,7 @@ class TestClosure:
         assert quasi_field_closure(fam).bundles == {0, u4.full_mask}
 
     @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_closure_is_a_quasi_field(self, data):
         m = data.draw(st.integers(1, 5))
         universe = GoodsUniverse.of_size(m)
