@@ -276,8 +276,8 @@ def _keyed(costs, leaf):
 def max_surplus(profile: Profile) -> Value:
     """Optimal surplus over all allocations (value only, tie-break free)."""
     if profile.all_sparse:
-        atoms = _atom_list(profile)
-        return max_packing([(mask, w) for _, mask, w in atoms], profile.universe.full_mask)
+        atoms = [(mask, w) for v in profile.valuations for mask, w in v.atoms if mask and w > 0]
+        return max_packing(atoms, profile.universe.full_mask)
     return _dense_rows(_dense_tables(profile))[0][profile.universe.full_mask]
 
 

@@ -85,6 +85,12 @@ class GoodsUniverse:
         if any(not lab for lab in self.labels):
             raise InvalidInputError("good labels must be nonempty strings")
 
+    def __eq__(self, other) -> bool:
+        # Valuations and profiles nearly always share one universe object.
+        if self is other:
+            return True
+        return self.labels == other.labels if other.__class__ is self.__class__ else NotImplemented
+
     @staticmethod
     def of_size(m: int) -> "GoodsUniverse":
         """Universe with default labels a, b, c, ... (g0, g1, ... past 26)."""
@@ -234,8 +240,10 @@ class Valuation:
             if len(self.table) != self.universe.full_mask + 1:
                 raise InvalidInputError("dense table must cover all 2^m bundles")
         else:
+            full = self.universe.full_mask
             for mask, weight in self.atoms:
-                self.universe.check_bundle(mask)
+                if not 0 <= mask <= full:
+                    self.universe.check_bundle(mask)
                 if weight < 0:
                     raise InvalidInputError("atom weights must be nonnegative")
 
@@ -376,12 +384,12 @@ def unanimity_valuation(universe: GoodsUniverse, bundle: Bundle, weight=1) -> Va
     if w < 0:
         raise InvalidInputError("weight must be nonnegative")
     if bundle == 0 or w == 0:
-        return Valuation.from_atoms(universe, ())
-    return Valuation.from_atoms(universe, ((bundle, w),))
+        return Valuation(universe, atoms=())
+    return Valuation(universe, atoms=((bundle, w),))
 
 
 def zero_valuation(universe: GoodsUniverse) -> Valuation:
-    return Valuation.from_atoms(universe, ())
+    return Valuation(universe, atoms=())
 
 
 @dataclass(frozen=True)
@@ -389,6 +397,9 @@ class ValuationReport:
     ok: bool
     reason: str = ""
     witness: tuple[Bundle, Bundle] | None = None
+
+
+_VALID = ValuationReport(ok=True)  # shared: the report is frozen
 
 
 def validate_valuation(v: Valuation) -> ValuationReport:
@@ -399,7 +410,7 @@ def validate_valuation(v: Valuation) -> ValuationReport:
     constructor already enforced.
     """
     if v.atoms is not None:
-        return ValuationReport(ok=True)
+        return _VALID
     table = v.table
     if table[0] != 0:
         return ValuationReport(False, "normalization: v(empty) != 0", (0, 0))
@@ -421,14 +432,14 @@ def validate_valuation(v: Valuation) -> ValuationReport:
         if any(any(map(gt, lo, hi)) for lo, hi in pairs):
             break
     else:
-        return ValuationReport(ok=True)
+        return _VALID
     for mask in range(size):
         for i in range(v.universe.m):
             if not mask & (1 << i):
                 sup = mask | (1 << i)
                 if table[mask] > table[sup]:
                     return ValuationReport(False, "monotonicity violated", (mask, sup))
-    return ValuationReport(ok=True)
+    return _VALID
 
 
 @dataclass(frozen=True)

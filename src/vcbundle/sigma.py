@@ -17,6 +17,7 @@ from .core import (
     Partition,
     Profile,
     Valuation,
+    as_value,
     submask_max,
     unanimity_valuation,
     zero_valuation,
@@ -173,8 +174,9 @@ def project_valuation(v: Valuation, family: BundleFamily) -> Valuation:
             return zero_valuation(v.universe)
         if len(live) == 1:
             atom, weight = live[0]
+            # The minimal supersets ascend, so these atoms need no sort.
             minimal = _minimal_supersets(atom, family.sorted_bundles)
-            return Valuation.from_atoms(v.universe, ((c, weight) for c in minimal))
+            return Valuation(v.universe, atoms=tuple([(c, as_value(weight)) for c in minimal]))
         if v.universe.m > DENSE_GOODS_CAP:
             raise BudgetExceededError(
                 "projection of a multi-atom valuation needs a dense table: capped at "

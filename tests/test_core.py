@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from vcbundle import (
     Allocation,
+    BundleFamily,
     GoodsUniverse,
     InvalidInputError,
     Partition,
+    Profile,
     Valuation,
     partition_from_sizes,
+    project_valuation,
     unanimity_valuation,
     validate_valuation,
     zero_valuation,
@@ -83,6 +87,17 @@ class TestUniverse:
     def test_large_universe_labels(self):
         u = GoodsUniverse.of_size(30)
         assert u.labels[26] == "g26"
+
+    def test_equality_and_hash_follow_the_labels(self):
+        u, twin = GoodsUniverse(("a", "b")), GoodsUniverse(("a", "b"))
+        assert u is not twin
+        assert u == twin and not u != twin and hash(u) == hash(twin)
+        assert {u: 1}[twin] == 1
+        assert u == u and not u != u
+        for other in (GoodsUniverse(("b", "a")), GoodsUniverse(("a",)), GoodsUniverse(("a", "b", "c"))):
+            assert u != other and not u == other
+        for other in (("a", "b"), "ab", 2, None):
+            assert u != other and not u == other and other != u
 
 
 class TestUnanimity:
@@ -252,6 +267,57 @@ class TestRepresentations:
             Valuation(u2)
         with pytest.raises(InvalidInputError):
             Valuation(u2, table=(Fraction(0),) * 4, atoms=())
+
+
+def _raises_exactly(message: str):
+    return pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$")
+
+
+class TestBoundaryMessages:
+    """Each check keeps its exception class and its exact message."""
+
+    def test_atom_mask_outside_the_universe(self, u4):
+        with _raises_exactly("bundle 0x10 outside universe of 4 goods"):
+            Valuation(u4, atoms=((1, 1), (16, 1)))
+        with _raises_exactly("bundle -0x1 outside universe of 4 goods"):
+            Valuation(u4, atoms=((-1, 1),))
+        with _raises_exactly("bundle 0x20 outside universe of 4 goods"):
+            Valuation.from_atoms(u4, [(0x20, 2)])
+
+    def test_negative_atom_weight(self, u4):
+        with _raises_exactly("atom weights must be nonnegative"):
+            Valuation(u4, atoms=((1, 1), (2, -1)))
+        with _raises_exactly("atom weights must be nonnegative"):
+            Valuation.from_atoms(u4, [(3, Fraction(-1, 2))])
+
+    def test_valuation_universe_differs_from_the_profile_universe(self, u4):
+        twin = GoodsUniverse.of_size(4)
+        assert Profile(u4, (zero_valuation(twin), unanimity_valuation(u4, 1))).n == 2
+        for other in (GoodsUniverse.of_size(3), GoodsUniverse(("a", "b", "c", "e"))):
+            with _raises_exactly("all valuations must share the profile's universe"):
+                Profile(u4, (unanimity_valuation(u4, 1), unanimity_valuation(other, 1)))
+
+    def test_projection_onto_a_family_of_another_universe(self, u4):
+        family = BundleFamily.of(GoodsUniverse.of_size(3), [1])
+        for v in (unanimity_valuation(u4, 1), Valuation.dense(u4, range(16)), zero_valuation(u4)):
+            with _raises_exactly("valuation and family universes differ"):
+                project_valuation(v, family)
+
+    def test_unanimity_with_a_bad_bundle_or_weight(self, u4):
+        with _raises_exactly("bundle 0x10 outside universe of 4 goods"):
+            unanimity_valuation(u4, 16)
+        with _raises_exactly("bundle -0x2 outside universe of 4 goods"):
+            unanimity_valuation(u4, -2)
+        for weight, message in (
+            (-1, "weight must be nonnegative"),
+            ("-1/2", "weight must be nonnegative"),
+            (True, "boolean is not a value"),
+            ("x", "cannot parse value 'x'"),
+            (float("nan"), "value nan is not finite"),
+            ([1], "unsupported value type list"),
+        ):
+            with _raises_exactly(message):
+                unanimity_valuation(u4, 1, weight)
 
 
 class TestAllocationAndPartition:

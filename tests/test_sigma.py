@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from vcbundle import (
     sigma_optimal_surplus,
     unanimity_profile,
     unanimity_valuation,
+    zero_valuation,
 )
 from vcbundle import sigma
 from vcbundle.sigma import enumerate_families
@@ -97,6 +99,55 @@ class TestFieldOfPartition:
         # balanced-style family is not a partition field
         fam2 = family_of(u4, "ab", "cd", "ac", "bd", "abcd")
         assert partition_of_family(fam2) is None
+
+
+def _assert_same_valuation(built, canonical):
+    # repr tells 2 from Fraction(2, 1), which == and hash do not.
+    assert built == canonical and hash(built) == hash(canonical)
+    assert repr(built.atoms) == repr(canonical.atoms)
+
+
+_WEIGHTS = st.one_of(
+    st.integers(0, 6),
+    st.builds(Fraction, st.integers(0, 12), st.integers(1, 4)),
+)
+
+
+class TestLibraryBuiltValuations:
+    """Valuations the library builds itself equal ``Valuation.from_atoms``
+    of the same atoms, so equality with a projection is decided as before."""
+
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_unanimity_and_zero(self, data):
+        universe = GoodsUniverse.of_size(data.draw(st.integers(1, 6)))
+        bundle = data.draw(st.integers(0, universe.full_mask))
+        weight = data.draw(st.one_of(_WEIGHTS, _WEIGHTS.map(str)))
+        atoms = () if bundle == 0 or Fraction(weight) == 0 else ((bundle, weight),)
+        _assert_same_valuation(unanimity_valuation(universe, bundle, weight), Valuation.from_atoms(universe, atoms))
+        unit = ((bundle, 1),) if bundle else ()
+        _assert_same_valuation(unanimity_valuation(universe, bundle), Valuation.from_atoms(universe, unit))
+        _assert_same_valuation(zero_valuation(universe), Valuation.from_atoms(universe, ()))
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_single_atom_projection(self, data):
+        universe = GoodsUniverse.of_size(data.draw(st.integers(1, 5)))
+        full = universe.full_mask
+        atom = data.draw(st.integers(1, full))
+        weight = data.draw(_WEIGHTS.filter(bool))
+        dead = data.draw(st.lists(st.sampled_from([(0, 3), (atom, 0), (full, 0)]), max_size=2))
+        v = Valuation.from_atoms(universe, [(atom, weight)] + dead)
+        members = set(data.draw(st.lists(st.integers(1, full), max_size=8)))
+        if data.draw(st.booleans()):
+            members.add(full)
+        else:
+            members = {c for c in members if c & atom != atom}
+        family = BundleFamily.of(universe, members)
+        above = [c for c in family.bundles if c & atom == atom]
+        minimal = [c for c in above if not any(d != c and d & c == d for d in above)]
+        expected = Valuation.from_atoms(universe, [(c, weight) for c in minimal])
+        _assert_same_valuation(project_valuation(v, family), expected)
 
 
 class TestProjection:
@@ -237,6 +288,27 @@ class TestFamilyStructure:
         assert alive() is None
         assert partition_of_family(twin) is None
         assert calls == [twin]  # the entry went with its family
+
+
+    def test_partition_recovery_is_shared_by_equal_universes(self, monkeypatch):
+        calls = []
+        recover = sigma._recover_partition
+
+        def counting(family):
+            calls.append(family)
+            return recover(family)
+
+        monkeypatch.setattr(sigma, "_recover_partition", counting)
+        universe, other = GoodsUniverse.of_size(5), GoodsUniverse.of_size(5)
+        field = field_of_partition(partition_from_sizes([2, 1, 2], universe))
+        pairs = family_of(universe, "ab", "cde", "ac", "bde", "abcde")
+        for fam in (field, pairs):
+            calls.clear()
+            first = partition_of_family(fam)
+            twin = BundleFamily(other, frozenset(fam.bundles))
+            assert twin.universe is not fam.universe and twin == fam and hash(twin) == hash(fam)
+            assert partition_of_family(twin) == first
+            assert calls == [fam]
 
 
 class TestClosure:
