@@ -32,7 +32,7 @@ from .core import (
     Value,
     max_packing,
     submask_max,
-    DENSE_GOODS_CAP,
+    FAMILY_SEARCH_STEPS_CAP,
     TIE_WALK_NODES_CAP,
 )
 from .sigma import _minimal_supersets, partition_of_family
@@ -293,35 +293,18 @@ def optimal_allocation(
     return _dense_solve(profile, tie, reference)
 
 
-def _expand_parts(meta_mask: int, parts: tuple[Bundle, ...]) -> Bundle:
-    union = 0
-    rest = meta_mask
-    while rest:
-        low = rest & -rest
-        union |= parts[low.bit_length() - 1]
-        rest ^= low
-    return union
-
-
-def _meta_valuation(v: Valuation, parts: tuple[Bundle, ...], meta_universe: GoodsUniverse) -> Valuation:
-    table = tuple(v.value(_expand_parts(meta, parts)) for meta in range(1 << len(parts)))
-    return Valuation(meta_universe, table=table)
-
-
 def _partition_surplus(profile: Profile, partition: Partition) -> tuple[Allocation, Value]:
-    parts = partition.parts
-    if partition.k > DENSE_GOODS_CAP:
-        raise BudgetExceededError(
-            f"meta-good reduction capped at k <= {DENSE_GOODS_CAP} parts, got k = {partition.k}"
-        )
+    """Winner determination over the k meta-goods, one per part; meta-mask
+    M stands for the bundle ``unions[M]``."""
     meta_universe = GoodsUniverse.of_size(partition.k)
+    meta_universe.all_bundles()  # the 2^k budget, checked before any table is built
+    unions = partition.unions
     meta_profile = Profile(
         meta_universe,
-        tuple(_meta_valuation(v, parts, meta_universe) for v in profile.valuations),
+        tuple(Valuation(meta_universe, table=tuple(map(v.value, unions))) for v in profile.valuations),
     )
     meta_alloc, value = _dense_solve(meta_profile, TieBreak.canonical(), None)
-    masks = tuple(_expand_parts(meta, parts) for meta in meta_alloc.buyer_bundles)
-    return Allocation(profile.universe, masks), value
+    return Allocation(profile.universe, tuple(unions[meta] for meta in meta_alloc.buyer_bundles)), value
 
 
 def sigma_optimal_surplus(profile: Profile, family: BundleFamily) -> tuple[Allocation, Value]:
@@ -355,6 +338,16 @@ def sigma_optimal_surplus(profile: Profile, family: BundleFamily) -> tuple[Alloc
         # A bundle worth 0 or less never beats the empty bundle, because the
         # search is monotone in ``free``.
         options.append([(c, w) for c in bundles if (w := v.value(c)) > 0])
+    # Buyer i meets at most min(2^m, prod over j < i of (|options_j| + 1))
+    # free sets and tries each of its options on every one.
+    steps, states = 0, 1
+    for opts in options:
+        steps += len(opts) * states
+        states = min(states * (len(opts) + 1), profile.universe.full_mask + 1)
+    if steps > FAMILY_SEARCH_STEPS_CAP:
+        raise BudgetExceededError(
+            f"family search capped at {FAMILY_SEARCH_STEPS_CAP} option steps, bound {steps}"
+        )
     total, masks = _family_search(0, profile.universe.full_mask, options, {})
     return Allocation(profile.universe, masks), total
 

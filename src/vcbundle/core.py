@@ -22,7 +22,7 @@ Value = int | Fraction
 
 # Size budgets.  Each exponential computation checks one of these and raises
 # BudgetExceededError (CLI exit code 2), naming the limit and the size.
-DENSE_GOODS_CAP = 14  # dense tables and the 3^m dynamic program hold 2^m values
+DENSE_GOODS_CAP = 14  # goods of 2^m-bundle tables and enumeration; GoodsUniverse.all_bundles checks it
 SPARSE_ATOMS_CAP = 64  # atoms in one packing-kernel instance
 MAX_EXACT_PARTS = 8  # parts in the exact feasible-family search
 MAX_ORACLE_GOODS = 12  # goods in the ratio_oracle profile sweep
@@ -30,6 +30,7 @@ SWEEP_GOODS_CAP = 8  # goods in the CLI's disjoint-unanimity sweep
 FIELD_PARTS_CAP = 20  # parts of a partition whose 2^k-bundle field is built
 FAMILY_ENUM_GOODS_CAP = 4  # goods in the exhaustive bundle-family enumeration
 TIE_WALK_NODES_CAP = 50_000  # nodes of the adversarial walk over optimal packings
+FAMILY_SEARCH_STEPS_CAP = 20_000_000  # option steps of sigma_optimal_surplus's search over family bundles
 
 MAX_DECIMAL_EXPONENT = 4300  # |exponent| of a decimal value string: the int-string digit limit
 
@@ -175,7 +176,7 @@ class GoodsUniverse:
     def all_bundles(self) -> range:
         if self.m > DENSE_GOODS_CAP:
             raise BudgetExceededError(
-                f"bundle enumeration capped at m <= {DENSE_GOODS_CAP} goods, got m = {self.m}"
+                f"bundle tables and enumeration capped at m <= {DENSE_GOODS_CAP} goods, got m = {self.m}"
             )
         return range(self.full_mask + 1)
 
@@ -233,11 +234,7 @@ class Valuation:
         if (self.table is None) == (self.atoms is None):
             raise InvalidInputError("valuation needs exactly one representation")
         if self.table is not None:
-            if self.universe.m > DENSE_GOODS_CAP:
-                raise BudgetExceededError(
-                    f"dense tables capped at m <= {DENSE_GOODS_CAP}, got m = {self.universe.m}"
-                )
-            if len(self.table) != self.universe.full_mask + 1:
+            if len(self.table) != len(self.universe.all_bundles()):
                 raise InvalidInputError("dense table must cover all 2^m bundles")
         else:
             full = self.universe.full_mask
@@ -273,10 +270,11 @@ class Valuation:
     def to_dense(self) -> "Valuation":
         if self.table is not None:
             return self
-        table = [0] * (self.universe.full_mask + 1)
+        bundles = self.universe.all_bundles()
+        table = [0] * len(bundles)
         # Max-weight packing obeys table[C] = max(table[C - atom] + w) over
         # atoms inside C, seeded upward from the empty bundle.
-        for mask in self.universe.all_bundles():
+        for mask in bundles:
             best = 0
             for atom, weight in self.atoms:
                 if atom and atom & mask == atom:
@@ -539,6 +537,15 @@ class Partition:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(p.bit_count() for p in self.parts)
+
+    @cached_property
+    def unions(self) -> tuple[Bundle, ...]:
+        """``unions[meta]`` = the union of the parts on meta's bits, for all
+        2^k meta-masks, built by doubling."""
+        unions = [0]
+        for part in self.parts:
+            unions += [u | part for u in unions]
+        return tuple(unions)
 
 
 def partition_from_sizes(sizes: Sequence[int], universe: GoodsUniverse | None = None) -> Partition:

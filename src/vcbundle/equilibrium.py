@@ -115,9 +115,7 @@ def check_bundling_equilibrium(
 # Profile generators
 
 
-def disjoint_unanimity_families(
-    universe: GoodsUniverse, max_buyers: int | None = None
-) -> Iterator[tuple[Bundle, ...]]:
+def disjoint_unanimity_families(universe: GoodsUniverse) -> Iterator[tuple[Bundle, ...]]:
     """All unordered families of pairwise-disjoint nonempty bundles.
 
     Yields tuples of bundle masks, ordered by each bundle's lowest good; a
@@ -140,10 +138,9 @@ def disjoint_unanimity_families(
             yield from rec(g + 1)
             blocks[idx] ^= bit
         # good g opens a new block
-        if max_buyers is None or len(blocks) < max_buyers:
-            blocks.append(bit)
-            yield from rec(g + 1)
-            blocks.pop()
+        blocks.append(bit)
+        yield from rec(g + 1)
+        blocks.pop()
 
     for fam in rec(0):
         if fam:
@@ -156,10 +153,8 @@ def unanimity_profile(universe: GoodsUniverse, masks: Iterable[Bundle]) -> Profi
     )
 
 
-def disjoint_unanimity_profiles(
-    universe: GoodsUniverse, max_buyers: int | None = None
-) -> Iterator[Profile]:
-    for masks in disjoint_unanimity_families(universe, max_buyers):
+def disjoint_unanimity_profiles(universe: GoodsUniverse) -> Iterator[Profile]:
+    for masks in disjoint_unanimity_families(universe):
         yield unanimity_profile(universe, masks)
 
 

@@ -231,7 +231,7 @@ def ratio_oracle(partition: Partition) -> RatioEstimate:
     parts = partition.parts
     family = field_of_partition(partition)
     best = RatioEstimate(Fraction(1), None)
-    for masks in disjoint_unanimity_families(universe, max_buyers=universe.m):
+    for masks in disjoint_unanimity_families(universe):
         s = len(masks)
         if s <= best.ratio:
             continue

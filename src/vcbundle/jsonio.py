@@ -15,7 +15,6 @@ from typing import Any
 from .core import (
     Allocation,
     BundleFamily,
-    BudgetExceededError,
     GoodsUniverse,
     InvalidInputError,
     Profile,
@@ -23,7 +22,6 @@ from .core import (
     Value,
     as_value,
     validate_valuation,
-    DENSE_GOODS_CAP,
 )
 from .auction import AuctionOutcome
 from .sigma import FamilyClassification
@@ -61,11 +59,7 @@ def _parse_valuation(universe: GoodsUniverse, doc: Any) -> Valuation:
     if kind == "dense":
         values = doc.get("values")
         _require(isinstance(values, dict), 'dense valuation needs a "values" object')
-        if universe.m > DENSE_GOODS_CAP:
-            raise BudgetExceededError(
-                f"dense valuations are capped at m <= {DENSE_GOODS_CAP} goods, got m = {universe.m}"
-            )
-        table = [0] * (universe.full_mask + 1)
+        table = [0] * len(universe.all_bundles())
         names = universe.bundle_names
         if names is not None and all(map(names.__contains__, values)):
             # Distinct canonical keys: each names its own bundle.

@@ -21,7 +21,6 @@ from .core import (
     submask_max,
     unanimity_valuation,
     zero_valuation,
-    DENSE_GOODS_CAP,
     FAMILY_ENUM_GOODS_CAP,
     FIELD_PARTS_CAP,
 )
@@ -77,10 +76,7 @@ def field_of_partition(partition: Partition) -> BundleFamily:
         raise BudgetExceededError(
             f"partition field capped at k <= {FIELD_PARTS_CAP} parts, got k = {partition.k}"
         )
-    unions = {0}
-    for part in partition.parts:
-        unions |= {u | part for u in unions}
-    return BundleFamily(partition.universe, frozenset(unions))
+    return BundleFamily(partition.universe, frozenset(partition.unions))
 
 
 # partition_of_family's results, None included.  Keys are held weakly, so an
@@ -108,7 +104,7 @@ def _recover_partition(family: BundleFamily) -> Partition | None:
     all 2^k unions.
     """
     universe = family.universe
-    part_of = {}
+    candidates = set()
     for g in range(universe.m):
         bit = 1 << g
         inter = None
@@ -117,25 +113,17 @@ def _recover_partition(family: BundleFamily) -> Partition | None:
                 inter = b if inter is None else inter & b
         if inter is None:
             return None  # no member contains g, so unions cannot cover A
-        part_of[bit] = inter
-    parts = sorted(set(part_of.values()), key=lambda p: p & -p)
+        candidates.add(inter)
+    parts = sorted(candidates, key=lambda p: p & -p)
     union = 0
     for part in parts:
         if union & part:
             return None
         union |= part
-    if union != universe.full_mask:
-        return None
+    # Good g's candidate holds g and lies inside every member holding g, so
+    # the candidates cover all goods and every member is a union of them.
     if len(family) != 1 << len(parts):
         return None
-    for b in family.bundles:
-        rest = b
-        while rest:
-            low = rest & -rest
-            part = part_of[low]
-            if b & part != part:
-                return None
-            rest &= ~part
     return Partition(universe, tuple(parts))
 
 
@@ -177,11 +165,6 @@ def project_valuation(v: Valuation, family: BundleFamily) -> Valuation:
             # The minimal supersets ascend, so these atoms need no sort.
             minimal = _minimal_supersets(atom, family.sorted_bundles)
             return Valuation(v.universe, atoms=tuple([(c, as_value(weight)) for c in minimal]))
-        if v.universe.m > DENSE_GOODS_CAP:
-            raise BudgetExceededError(
-                "projection of a multi-atom valuation needs a dense table: capped at "
-                f"m <= {DENSE_GOODS_CAP} goods, got m = {v.universe.m}"
-            )
         v = v.to_dense()
     # Seed the family members with their own values (at least 0), then take
     # submask maxima.

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from vcbundle import (
     BudgetExceededError,
@@ -31,6 +31,7 @@ from conftest import (
     brute_force_optima,
     brute_force_packing,
     brute_force_sigma_surplus,
+    dense_valuations,
     small_profiles,
     sparse_valuations,
 )
@@ -611,6 +612,51 @@ class TestSigmaOptimalSurplus:
         prof = Profile(u4, (w(u4, "ab"), w(u4, "c"), w(u4, "ad", 2)))
         _, s = sigma_optimal_surplus(prof, fam)
         assert s == brute_force_sigma_surplus(prof, fam.bundles)
+
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_partition_route_picks_least_meta_tuple_on_interleaved_parts(self, data):
+        m = data.draw(st.integers(3, 5))
+        universe = GoodsUniverse.of_size(m)
+        # A restricted growth string: good g joins one of the blocks opened
+        # so far or opens the next, so the parts ascend by lowest good.
+        blocks = [0]
+        for _ in range(1, m):
+            blocks.append(data.draw(st.integers(0, max(blocks) + 1)))
+        parts = [sum(1 << g for g, b in enumerate(blocks) if b == j) for j in range(max(blocks) + 1)]
+        # Some part has a gap: shifted down to bit 0 it is not of the form 2^j - 1.
+        assume(any((q := p // (p & -p)) & (q + 1) for p in parts))
+        n = data.draw(st.integers(1, 3))
+        valuations = tuple(
+            data.draw(st.one_of(dense_valuations(universe), sparse_valuations(universe)))
+            for _ in range(n)
+        )
+        profile = Profile(universe, valuations)
+        k = len(parts)
+        bundle_of = []
+        for meta in range(1 << k):
+            bundle = 0
+            for j in range(k):
+                if meta >> j & 1:
+                    bundle |= parts[j]
+            bundle_of.append(bundle)
+        fam = BundleFamily.of(universe, bundle_of)
+        assert partition_of_family(fam).parts == tuple(parts)
+        tables = [[v.value(b) for b in bundle_of] for v in valuations]
+        best, least = None, None
+        for metas in itertools.product(range(1 << k), repeat=n):
+            union = 0
+            for meta in metas:
+                if union & meta:
+                    break
+                union |= meta
+            else:
+                surplus = sum((t[meta] for t, meta in zip(tables, metas)), Fraction(0))
+                if best is None or surplus > best:
+                    best, least = surplus, metas
+        alloc, s = sigma_optimal_surplus(profile, fam)
+        assert s == best
+        assert alloc.buyer_bundles == tuple(bundle_of[meta] for meta in least)
 
 
 class TestPayments:

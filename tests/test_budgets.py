@@ -50,6 +50,13 @@ def unit_atoms_on_every_good(m: int) -> Profile:
     return Profile(universe, (buyer, buyer))
 
 
+def counting_buyers(m: int, n: int) -> Profile:
+    """n buyers, each valuing a bundle at its number of goods."""
+    universe = GoodsUniverse.of_size(m)
+    v = Valuation.dense(universe, [mask.bit_count() for mask in range(1 << m)])
+    return Profile(universe, (v,) * n)
+
+
 # (entry point, limit, size): each call exceeds one budget by a known size.
 BUDGET_CASES = {
     "dense-table": (lambda: Valuation.dense(GoodsUniverse.of_size(15), [0] * (1 << 15)), 14, 15),
@@ -81,6 +88,15 @@ BUDGET_CASES = {
     ),
     "partition-field": (lambda: field_of_partition(partition_from_sizes([1] * 21)), 20, 21),
     "family-search": (lambda: max_feasible_family(partition_from_sizes([1] * 9)), 8, 9),
+    # Every bundle but {a}, not a partition field: each buyer has K = 4094
+    # options, and the bound is K * (1 + (K + 1) + 2^12) = 4094 * 8192.
+    "sigma-family-search": (
+        lambda: sigma_optimal_surplus(
+            counting_buyers(12, 3), BundleFamily.of(GoodsUniverse.of_size(12), range(2, 1 << 12))
+        ),
+        core.FAMILY_SEARCH_STEPS_CAP,
+        4094 * 8192,
+    ),
     "oracle": (lambda: ratio_oracle(partition_from_sizes([13])), 12, 13),
     "family-enumeration": (lambda: next(enumerate_families(GoodsUniverse.of_size(5))), 4, 5),
     "adversarial-tie-walk": (

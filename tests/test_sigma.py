@@ -88,9 +88,17 @@ class TestFieldOfPartition:
         cuts = data.draw(st.sets(st.integers(1, m - 1)) if m > 1 else st.just(set()))
         bounds = [0] + sorted(cuts) + [m]
         sizes = [b - a for a, b in zip(bounds, bounds[1:]) if b > a]
-        fam = field_of_partition(partition_from_sizes(sizes, universe))
+        part = partition_from_sizes(sizes, universe)
+        fam = field_of_partition(part)
         cls = classify_family(fam)
         assert cls.is_quasi_field and cls.is_field
+        assert len(part.unions) == 1 << part.k
+        for meta, union in enumerate(part.unions):
+            expected = 0
+            for j, p in enumerate(part.parts):
+                if meta >> j & 1:
+                    expected |= p
+            assert union == expected
 
     def test_partition_recovery(self, u4):
         part = partition_from_sizes([1, 3], u4)
@@ -99,6 +107,29 @@ class TestFieldOfPartition:
         # balanced-style family is not a partition field
         fam2 = family_of(u4, "ab", "cd", "ac", "bd", "abcd")
         assert partition_of_family(fam2) is None
+
+    def test_partition_recovery_matches_the_set_partition_definition(self):
+        # Every family on <= 4 goods, quasi field or not, against the fields
+        # of all Bell(m) set partitions, each built by its own loop.
+        for m in range(1, 5):
+            universe = GoodsUniverse.of_size(m)
+            fields = {}
+            for blocks in itertools.product(range(m), repeat=m):
+                # Restricted growth strings: each good joins an open block or
+                # opens the next one, so the parts ascend by lowest good.
+                if any(b > max(blocks[:g], default=-1) + 1 for g, b in enumerate(blocks)):
+                    continue
+                parts = tuple(
+                    sum(1 << g for g in range(m) if blocks[g] == j) for j in range(max(blocks) + 1)
+                )
+                members = frozenset(
+                    sum(p for j, p in enumerate(parts) if meta >> j & 1) for meta in range(1 << len(parts))
+                )
+                fields[members] = parts
+            assert len(fields) == [1, 2, 5, 15][m - 1]
+            for fam in enumerate_families(universe):
+                got = partition_of_family(fam)
+                assert (None if got is None else got.parts) == fields.get(fam.bundles), sorted(fam.bundles)
 
 
 def _assert_same_valuation(built, canonical):
