@@ -23,15 +23,14 @@ from .core import (
     Bundle,
     BundleFamily,
     BudgetExceededError,
-    GoodsUniverse,
     InternalInvariantError,
     InvalidInputError,
     Partition,
     Profile,
-    Valuation,
     Value,
     max_packing,
     submask_max,
+    table_size,
     FAMILY_SEARCH_STEPS_CAP,
     TIE_WALK_NODES_CAP,
 )
@@ -135,6 +134,25 @@ def _folded(tables, cost_tables):
     return [[(v * dk).numerator - (c * d).numerator for v, c in zip(t, ct)] for t, ct in zip(tables, cost_tables)]
 
 
+def _least_tuple(tables) -> list[Bundle]:
+    """The least bundle tuple that maximises the sum of the per-buyer
+    tables: per buyer in order, the smallest bundle preserving the optimum
+    of ``_dense_rows``."""
+    rows = _dense_rows(tables)
+    masks = []
+    s = len(tables[0]) - 1
+    for vals, target_row, nxt in zip(tables, rows, rows[1:]):
+        target = target_row[s]
+        t = 0
+        while vals[t] + nxt[s ^ t] != target:  # submasks of s in ascending order
+            if t == s:
+                raise InternalInvariantError("dense reconstruction lost the optimum")
+            t = (t - s) & s
+        masks.append(t)
+        s ^= t
+    return masks
+
+
 def _dense_solve(profile: Profile, tie: TieBreak, reference: Profile | None):
     costs = _tie_costs(profile, tie, reference)
     tables = _dense_tables(profile)
@@ -146,32 +164,12 @@ def _dense_solve(profile: Profile, tie: TieBreak, reference: Profile | None):
         else:
             cost_tables = [list(map(cost, range(len(tables[0])))) for cost in costs]
         weights = _folded(tables, cost_tables)
-    rows = _dense_rows(weights)
-    full = profile.universe.full_mask
-
-    # Reconstruct: per buyer in order, the smallest bundle preserving the optimum.
-    masks = []
-    s = full
-    for vals, target_row, nxt in zip(weights, rows, rows[1:]):
-        target = target_row[s]
-        t = 0
-        while vals[t] + nxt[s ^ t] != target:  # submasks of s in ascending order
-            if t == s:
-                raise InternalInvariantError("dense reconstruction lost the optimum")
-            t = (t - s) & s
-        masks.append(t)
-        s ^= t
-    value = rows[0][full] if costs is None else sum(map(getitem, tables, masks))
-    return Allocation(profile.universe, tuple(masks)), value
+    masks = _least_tuple(weights)
+    return Allocation(profile.universe, tuple(masks)), sum(map(getitem, tables, masks))
 
 
 def _atom_list(profile: Profile):
-    atoms = []
-    for i, v in enumerate(profile.valuations):
-        for mask, weight in v.atoms:
-            if mask and weight > 0:
-                atoms.append((i, mask, weight))
-    return atoms
+    return [(i, mask, weight) for i, v in enumerate(profile.valuations) for mask, weight in v.atoms]
 
 
 def _keyed_atoms(atoms, n: int, costs) -> list[tuple[Bundle, int]]:
@@ -276,7 +274,7 @@ def _keyed(costs, leaf):
 def max_surplus(profile: Profile) -> Value:
     """Optimal surplus over all allocations (value only, tie-break free)."""
     if profile.all_sparse:
-        atoms = [(mask, w) for v in profile.valuations for mask, w in v.atoms if mask and w > 0]
+        atoms = [atom for v in profile.valuations for atom in v.atoms]
         return max_packing(atoms, profile.universe.full_mask)
     return _dense_rows(_dense_tables(profile))[0][profile.universe.full_mask]
 
@@ -296,15 +294,11 @@ def optimal_allocation(
 def _partition_surplus(profile: Profile, partition: Partition) -> tuple[Allocation, Value]:
     """Winner determination over the k meta-goods, one per part; meta-mask
     M stands for the bundle ``unions[M]``."""
-    meta_universe = GoodsUniverse.of_size(partition.k)
-    meta_universe.all_bundles()  # the 2^k budget, checked before any table is built
+    table_size(partition.k)  # the 2^k budget, checked before any table is built
     unions = partition.unions
-    meta_profile = Profile(
-        meta_universe,
-        tuple(Valuation(meta_universe, table=tuple(map(v.value, unions))) for v in profile.valuations),
-    )
-    meta_alloc, value = _dense_solve(meta_profile, TieBreak.canonical(), None)
-    return Allocation(profile.universe, tuple(unions[meta] for meta in meta_alloc.buyer_bundles)), value
+    tables = [tuple(map(v.value, unions)) for v in profile.valuations]
+    masks = _least_tuple(tables)
+    return Allocation(profile.universe, tuple(unions[meta] for meta in masks)), sum(map(getitem, tables, masks))
 
 
 def sigma_optimal_surplus(profile: Profile, family: BundleFamily) -> tuple[Allocation, Value]:
@@ -329,12 +323,10 @@ def sigma_optimal_surplus(profile: Profile, family: BundleFamily) -> tuple[Alloc
         # family supersets of the atom, each worth the atom's weight: any
         # available superset contains an available minimal one of no larger
         # mask, so the optimum and the least optimal tuple are both
-        # unchanged.  A buyer with no live atom is worth 0 everywhere.
-        if v.atoms is not None:
-            live = [(a, w) for a, w in v.atoms if a and w]
-            if len(live) < 2:
-                options.append([(c, w) for a, w in live for c in _minimal_supersets(a, bundles)])
-                continue
+        # unchanged.  A buyer with no atom is worth 0 everywhere.
+        if v.atoms is not None and len(v.atoms) < 2:
+            options.append([(c, w) for a, w in v.atoms for c in _minimal_supersets(a, bundles)])
+            continue
         # A bundle worth 0 or less never beats the empty bundle, because the
         # search is monotone in ``free``.
         options.append([(c, w) for c in bundles if (w := v.value(c)) > 0])
@@ -460,6 +452,8 @@ def run_vc(
     when supplied, else against the reports themselves.
     """
     tie = tie or TieBreak.canonical()
+    if true_profile is not None and (true_profile.n != reported.n or true_profile.universe != reported.universe):
+        raise InvalidInputError("true profile shape mismatch")
     reference = None
     if tie.kind == "adversarial":
         reference = true_profile if true_profile is not None else reported
@@ -471,8 +465,6 @@ def run_vc(
     else:
         payments = tuple(_payment_at(reported, i, total - v) for i, v in enumerate(values))
     if true_profile is not None:
-        if true_profile.n != reported.n or true_profile.universe != reported.universe:
-            raise InvalidInputError("true profile shape mismatch")
         values = _values_at(true_profile, allocation)
     surplus = sum(values)
     revenue = sum(payments)

@@ -22,12 +22,14 @@ Value = int | Fraction
 
 # Size budgets.  Each exponential computation checks one of these and raises
 # BudgetExceededError (CLI exit code 2), naming the limit and the size.
-DENSE_GOODS_CAP = 14  # goods of 2^m-bundle tables and enumeration; GoodsUniverse.all_bundles checks it
+DENSE_GOODS_CAP = 14  # goods of 2^m-bundle tables and enumeration; table_size checks it
+UNIVERSE_GOODS_CAP = 100_000  # goods of a universe built from its size (GoodsUniverse.of_size)
 SPARSE_ATOMS_CAP = 64  # atoms in one packing-kernel instance
 MAX_EXACT_PARTS = 8  # parts in the exact feasible-family search
+FAMILY_TARGET_CAP = 800  # sets in the first target of that search: one recursion frame per set
 MAX_ORACLE_GOODS = 12  # goods in the ratio_oracle profile sweep
 SWEEP_GOODS_CAP = 8  # goods in the CLI's disjoint-unanimity sweep
-FIELD_PARTS_CAP = 20  # parts of a partition whose 2^k-bundle field is built
+FIELD_PARTS_CAP = 20  # parts of a partition whose 2^k union table is built (Partition.unions)
 FAMILY_ENUM_GOODS_CAP = 4  # goods in the exhaustive bundle-family enumeration
 TIE_WALK_NODES_CAP = 50_000  # nodes of the adversarial walk over optimal packings
 FAMILY_SEARCH_STEPS_CAP = 20_000_000  # option steps of sigma_optimal_surplus's search over family bundles
@@ -54,6 +56,15 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def table_size(m: int) -> int:
+    """2^m, the length of a table over m goods, within ``DENSE_GOODS_CAP``."""
+    if m > DENSE_GOODS_CAP:
+        raise BudgetExceededError(
+            f"bundle tables and enumeration capped at m <= {DENSE_GOODS_CAP} goods, got m = {m}"
+        )
+    return 1 << m
 
 
 def submask_max(vals) -> list:
@@ -97,6 +108,8 @@ class GoodsUniverse:
         """Universe with default labels a, b, c, ... (g0, g1, ... past 26)."""
         if m < 1:
             raise InvalidInputError("universe needs at least one good")
+        if m > UNIVERSE_GOODS_CAP:
+            raise BudgetExceededError(f"goods universe capped at m <= {UNIVERSE_GOODS_CAP} goods, got m = {m}")
         if m <= len(_LETTERS):
             return GoodsUniverse(tuple(_LETTERS[:m]))
         return GoodsUniverse(tuple(f"g{i}" for i in range(m)))
@@ -174,11 +187,7 @@ class GoodsUniverse:
             raise InvalidInputError(f"bundle {mask:#x} outside universe of {self.m} goods")
 
     def all_bundles(self) -> range:
-        if self.m > DENSE_GOODS_CAP:
-            raise BudgetExceededError(
-                f"bundle tables and enumeration capped at m <= {DENSE_GOODS_CAP} goods, got m = {self.m}"
-            )
-        return range(self.full_mask + 1)
+        return range(table_size(self.m))
 
 
 def as_value(value) -> Value:
@@ -224,6 +233,8 @@ class Valuation:
     * ``atoms``: (mask, weight) pairs; v(C) is the maximum total weight of a
       sub-collection of pairwise-disjoint atoms contained in C.  A single
       atom (B, w) is the scaled unanimity valuation: w on supersets of B.
+      Only live atoms, with a nonempty bundle and a positive weight, are
+      stored: the others are dropped once every atom has passed the checks.
     """
 
     universe: GoodsUniverse
@@ -238,11 +249,17 @@ class Valuation:
                 raise InvalidInputError("dense table must cover all 2^m bundles")
         else:
             full = self.universe.full_mask
+            live = True
             for mask, weight in self.atoms:
-                if not 0 <= mask <= full:
+                if not 0 < mask <= full:
                     self.universe.check_bundle(mask)
-                if weight < 0:
-                    raise InvalidInputError("atom weights must be nonnegative")
+                    live = False
+                if weight <= 0:
+                    if weight < 0:
+                        raise InvalidInputError("atom weights must be nonnegative")
+                    live = False
+            if not live:
+                object.__setattr__(self, "atoms", tuple([(a, w) for a, w in self.atoms if a and w]))
 
     @staticmethod
     def dense(universe: GoodsUniverse, values: Sequence) -> "Valuation":
@@ -264,8 +281,8 @@ class Valuation:
         atoms = self.atoms
         if len(atoms) == 1:
             atom, weight = atoms[0]
-            return weight if atom and atom & mask == atom else 0
-        return max_packing([(a, w) for a, w in atoms if a and w and a & mask == a], mask)
+            return weight if atom & mask == atom else 0
+        return max_packing([(a, w) for a, w in atoms if a & mask == a], mask)
 
     def to_dense(self) -> "Valuation":
         if self.table is not None:
@@ -277,7 +294,7 @@ class Valuation:
         for mask in bundles:
             best = 0
             for atom, weight in self.atoms:
-                if atom and atom & mask == atom:
+                if atom & mask == atom:
                     cand = table[mask ^ atom] + weight
                     if cand > best:
                         best = cand
@@ -287,7 +304,7 @@ class Valuation:
     def nonzero(self) -> bool:
         if self.table is not None:
             return any(v != 0 for v in self.table)
-        return any(w != 0 and mask for mask, w in self.atoms)
+        return bool(self.atoms)
 
 
 class AtomPacking:
@@ -381,8 +398,6 @@ def unanimity_valuation(universe: GoodsUniverse, bundle: Bundle, weight=1) -> Va
     w = as_value(weight)
     if w < 0:
         raise InvalidInputError("weight must be nonnegative")
-    if bundle == 0 or w == 0:
-        return Valuation(universe, atoms=())
     return Valuation(universe, atoms=((bundle, w),))
 
 
@@ -542,6 +557,10 @@ class Partition:
     def unions(self) -> tuple[Bundle, ...]:
         """``unions[meta]`` = the union of the parts on meta's bits, for all
         2^k meta-masks, built by doubling."""
+        if self.k > FIELD_PARTS_CAP:
+            raise BudgetExceededError(
+                f"partition field capped at k <= {FIELD_PARTS_CAP} parts, got k = {self.k}"
+            )
         unions = [0]
         for part in self.parts:
             unions += [u | part for u in unions]

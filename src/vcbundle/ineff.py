@@ -20,6 +20,7 @@ from .core import (
     InternalInvariantError,
     InvalidInputError,
     MAX_EXACT_PARTS,
+    FAMILY_TARGET_CAP,
     MAX_ORACLE_GOODS,
     Partition,
     Profile,
@@ -109,16 +110,6 @@ class FamilySearchResult:
     exhausted: tuple[int, ...]  # larger targets proven infeasible
 
 
-def _equal_cap_runs(caps: Sequence[int]) -> list[tuple[int, int]]:
-    runs = []
-    start = 0
-    for i in range(1, len(caps) + 1):
-        if i == len(caps) or caps[i] != caps[start]:
-            runs.append((start, i - start))
-            start = i
-    return runs
-
-
 def _search_with_target(caps: tuple[int, ...], target: int) -> tuple[int, ...] | None:
     """First family of exactly ``target`` sets in canonical order, or None.
 
@@ -131,20 +122,14 @@ def _search_with_target(caps: tuple[int, ...], target: int) -> tuple[int, ...] |
     candidates = sorted(range(1, 1 << k), key=lambda msk: (msk.bit_count(), msk))
     sizes = [c.bit_count() for c in candidates]
     bits_of = [tuple(iter_bits(c)) for c in candidates]
-    runs = _equal_cap_runs(caps)
-
-    def prefix_form(mask: int) -> bool:
-        for start, length in runs:
-            gap = False
-            for i in range(start, start + length):
-                if mask >> i & 1:
-                    if gap:
-                        return False
-                else:
-                    gap = True
-        return True
-
-    first_ok = [prefix_form(c) for c in candidates]
+    runs = []  # the mask of each run of equal caps
+    for i, cap in enumerate(caps):
+        if i and cap == caps[i - 1]:
+            runs[-1] |= 1 << i
+        else:
+            runs.append(1 << i)
+    # Shifted down to its run's lowest part, a prefix is 2^j - 1.
+    first_ok = [all((x := (c & r) // (r & -r)) & (x + 1) == 0 for r in runs) for c in candidates]
     rem = list(caps)
     chosen: list[int] = []
 
@@ -197,7 +182,11 @@ def max_feasible_family(partition: Partition) -> FamilySearchResult:
     order = sorted(range(k), key=lambda l: (-sizes[l], l))
     caps_sorted = tuple(sizes[l] for l in order)
     bound = feasible_family_bound(partition)
-    upper = int(bound) if bound.denominator == 1 else bound.numerator // bound.denominator
+    upper = bound.numerator // bound.denominator
+    if upper > FAMILY_TARGET_CAP:
+        raise BudgetExceededError(
+            f"exact family search capped at {FAMILY_TARGET_CAP} sets, first target {upper}"
+        )
     exhausted = []
     for target in range(upper, 0, -1):
         found = _search_with_target(caps_sorted, target)

@@ -20,9 +20,7 @@ from .core import (
     as_value,
     submask_max,
     unanimity_valuation,
-    zero_valuation,
     FAMILY_ENUM_GOODS_CAP,
-    FIELD_PARTS_CAP,
 )
 
 
@@ -72,10 +70,6 @@ def is_quasi_field(family: BundleFamily) -> bool:
 
 def field_of_partition(partition: Partition) -> BundleFamily:
     """All 2^k unions of parts, including the empty bundle and all goods."""
-    if partition.k > FIELD_PARTS_CAP:
-        raise BudgetExceededError(
-            f"partition field capped at k <= {FIELD_PARTS_CAP} parts, got k = {partition.k}"
-        )
     return BundleFamily(partition.universe, frozenset(partition.unions))
 
 
@@ -156,16 +150,12 @@ def project_valuation(v: Valuation, family: BundleFamily) -> Valuation:
     """
     if v.universe != family.universe:
         raise InvalidInputError("valuation and family universes differ")
-    if v.atoms is not None:
-        live = [(a, w) for a, w in v.atoms if a and w]
-        if not live:
-            return zero_valuation(v.universe)
-        if len(live) == 1:
-            atom, weight = live[0]
-            # The minimal supersets ascend, so these atoms need no sort.
-            minimal = _minimal_supersets(atom, family.sorted_bundles)
-            return Valuation(v.universe, atoms=tuple([(c, as_value(weight)) for c in minimal]))
-        v = v.to_dense()
+    if v.atoms is not None and len(v.atoms) < 2:
+        # The minimal supersets ascend, so these atoms need no sort.
+        return Valuation(v.universe, atoms=tuple([
+            (c, as_value(w)) for a, w in v.atoms for c in _minimal_supersets(a, family.sorted_bundles)
+        ]))
+    v = v.to_dense()
     # Seed the family members with their own values (at least 0), then take
     # submask maxima.
     table = [0] * (v.universe.full_mask + 1)

@@ -10,6 +10,7 @@ from vcbundle import (
     BudgetExceededError,
     BundleFamily,
     GoodsUniverse,
+    InvalidInputError,
     Profile,
     TieBreak,
     Valuation,
@@ -25,6 +26,7 @@ from vcbundle import (
     unanimity_profile,
     unanimity_valuation,
 )
+from vcbundle import auction
 from vcbundle.core import AtomPacking
 from conftest import (
     brute_force_least_sigma_tuple,
@@ -503,6 +505,22 @@ class TestExactTieObjective:
         assert surplus == 5 and alloc.buyer_bundles == (0, 0, universe.full_mask)
         assert calls and len(calls) == len(set(calls))
 
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_adversarial_against_the_reports_is_canonical(self, data):
+        # The reports' own surplus is the optimum at every surplus-optimal
+        # allocation, so that tie cost never separates two optima: dense,
+        # sparse (multi-atom buyers walk), mixed and non-monotone profiles.
+        profile = data.draw(st.one_of(
+            small_profiles(), small_profiles(max_m=5, sparse_only=True), raw_mixed_profiles()
+        ))
+        canonical = optimal_allocation(profile)
+        outcome = run_vc(profile)
+        for i in range(profile.n):
+            tie = TieBreak.adversarial_to(i)
+            assert optimal_allocation(profile, tie, reference=profile) == canonical
+            assert run_vc(profile, tie) == outcome
+
 
 class TestSparsePayments:
     """All-sparse run_vc reads every drop-one optimum from one shared packing."""
@@ -695,6 +713,22 @@ class TestRunVC:
         fam = field_of_partition(partition_from_sizes([2], u2))
         out_pi = run_vc(project_profile(prof, fam), true_profile=prof)
         assert (out_pi.surplus, out_pi.revenue) == (1, 1)
+
+    @pytest.mark.parametrize("tie", [TieBreak.canonical(), TieBreak.adversarial_to(0)],
+                             ids=["canonical", "adversarial"])
+    def test_true_profile_shape_is_checked_before_any_solve(self, u2, monkeypatch, tie):
+        reported = Profile(u2, (w(u2, "a"), w(u2, "b")))
+        u3 = GoodsUniverse.of_size(3)
+        wrong_count = Profile(u2, (w(u2, "a"),))
+        wrong_universe = Profile(u3, (w(u3, "a"), w(u3, "b")))
+
+        def no_solve(*args):
+            raise AssertionError("solved before the shape check")
+
+        monkeypatch.setattr(auction, "optimal_allocation", no_solve)
+        for truth in (wrong_count, wrong_universe):
+            with pytest.raises(InvalidInputError, match="^true profile shape mismatch$"):
+                run_vc(reported, tie, true_profile=truth)
 
     @given(data=st.data())
     @settings(max_examples=40)

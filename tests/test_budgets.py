@@ -87,7 +87,11 @@ BUDGET_CASES = {
         15,
     ),
     "partition-field": (lambda: field_of_partition(partition_from_sizes([1] * 21)), 20, 21),
+    "partition-unions": (lambda: partition_from_sizes([1] * 21).unions, 20, 21),
+    "universe-goods": (lambda: GoodsUniverse.of_size(100_001), 100_000, 100_001),
     "family-search": (lambda: max_feasible_family(partition_from_sizes([1] * 9)), 8, 9),
+    # One part of 1200 goods: the first target is 1200 sets, one frame each.
+    "family-target": (lambda: max_feasible_family(partition_from_sizes([1200])), 800, 1200),
     # Every bundle but {a}, not a partition field: each buyer has K = 4094
     # options, and the bound is K * (1 + (K + 1) + 2^12) = 4094 * 8192.
     "sigma-family-search": (
@@ -114,6 +118,14 @@ def test_budget_errors_name_limit_and_size(name):
         call()
     numbers = re.findall(r"\d+", str(info.value))
     assert str(limit) in numbers and str(size) in numbers, str(info.value)
+
+
+def test_family_search_at_its_target_cap_solves():
+    # The search takes one recursion frame per set, under the test runner's
+    # own stack as well.
+    cap = core.FAMILY_TARGET_CAP
+    assert max_feasible_family(partition_from_sizes([cap])).s == cap
+    assert max_feasible_family(partition_from_sizes([600, 600])).s == 600
 
 
 def test_public_names_are_explicit_and_resolve():

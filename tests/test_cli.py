@@ -239,6 +239,14 @@ class TestBudgetExits:
         assert b"Traceback" not in proc.stderr
         assert b"tie walk" in proc.stderr
 
+    def test_family_target_budget_exits_2_without_traceback(self):
+        # One part of 1200 goods: uncapped, the search's first target of 1200
+        # sets overflowed the interpreter stack.
+        proc = cli("analyze-partition", "--sizes", "1200")
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        assert b"800" in proc.stderr and b"1200" in proc.stderr
+
     def test_sweep_budget_names_limit_and_size(self, tmp_path):
         path = tmp_path / "nine-goods.json"
         path.write_text(json.dumps({"goods": list("abcdefghi"), "bundles": ["abcdefghi"]}))

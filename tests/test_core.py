@@ -268,6 +268,19 @@ class TestRepresentations:
         with pytest.raises(InvalidInputError):
             Valuation(u2, table=(Fraction(0),) * 4, atoms=())
 
+    def test_dead_atoms_are_checked_then_dropped(self, u4):
+        # An atom with an empty bundle or a zero weight must still pass the
+        # input checks, and is then not stored.
+        live = Valuation.from_atoms(u4, [(3, 2)])
+        for dead in ([(0, 5)], [(1, 0)], [(0, 0), (1, Fraction(0))]):
+            v = Valuation.from_atoms(u4, [(3, 2), *dead])
+            assert v == live and hash(v) == hash(live) and v.atoms == ((3, 2),)
+        assert Valuation(u4, atoms=((0, 1), (4, 0))) == zero_valuation(u4)
+        with pytest.raises(InvalidInputError, match="^atom weights must be nonnegative$"):
+            Valuation(u4, atoms=((0, -1),))
+        with pytest.raises(InvalidInputError, match="outside universe"):
+            Valuation(u4, atoms=((1 << 4, 0),))
+
 
 def _raises_exactly(message: str):
     return pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$")
