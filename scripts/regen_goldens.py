@@ -13,6 +13,10 @@ GOLDENS = ROOT / "goldens"
 # Overlapping multi-atom buyers with tied optima, whose atoms the packing
 # kernel reorders breadth-first.
 CHAIN = str(ROOT / "instances" / "overlap-chain-atoms.json")
+# Four dense buyers on six goods with tied optima: the middle rows of the
+# dense DP run both the full pass (additive buyer 2) and the strict-bundle
+# pass (buyer 3).
+FOUR = str(ROOT / "instances" / "dense-four-buyers.json")
 
 INVOCATIONS = {
     "reproduce-example1.json": ["reproduce", "example1"],
@@ -39,6 +43,13 @@ INVOCATIONS = {
     "auction-overlap-chain-adversarial1.json": ["auction", "--instance", CHAIN, "--tie", "adversarial:1"],
     "auction-dense-unordered-keys.json": [
         "auction", "--instance", str(ROOT / "instances" / "dense-unordered-keys.json"),
+    ],
+    "auction-dense-four-buyers-canonical.json": ["auction", "--instance", FOUR],
+    "auction-dense-four-buyers-seller.json": ["auction", "--instance", FOUR, "--tie", "seller"],
+    "auction-dense-four-buyers-quasi-field-adversarial1.json": [
+        "auction", "--instance", FOUR,
+        "--family", str(ROOT / "instances" / "six-good-quasi-field.json"),
+        "--tie", "adversarial:1",
     ],
     "analyze-sigma-four-good.json": [
         "analyze-sigma", "--family", str(ROOT / "instances" / "four-good-family.json"),

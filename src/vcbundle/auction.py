@@ -93,36 +93,93 @@ def _dense_tables(profile: Profile) -> list:
     return [v.to_dense().table for v in profile.valuations]
 
 
-def _dense_rows(tables):
+def _strict_options(vals):
+    """The nonempty bundles T with ``vals[T] > vals[T - g]`` for every good g
+    in T, in ascending mask order, or None when the push pass over them
+    (2^(m - |T|) steps each) would not take under half the 3^m pull pass.
+
+    They include every bundle worth more than all of its proper subsets,
+    the support of an XOR bid (Nisan 2000).  Against a monotone row, any
+    bundle is matched by such a subset of it, so a DP row maximised over
+    them alone is unchanged.
+    """
+    size = len(vals)
+    limit = (3 ** (size.bit_length() - 1) + 1) // 2
+    cost = 0
+    options = []
+    for t in range(1, size):
+        v = vals[t]
+        rest = t
+        while rest:
+            low = rest & -rest
+            if vals[t ^ low] >= v:
+                break
+            rest ^= low
+        else:
+            cost += size >> t.bit_count()
+            if cost >= limit:
+                return None
+            options.append(t)
+    return options
+
+
+def _dense_rows(tables, options=None):
     """Subset DP over (buyer suffix, goods subset) (Rothkopf, Pekec & Harstad
     1998) on per-buyer tables indexed by bundle mask: ``rows[i][S]`` is the
     best buyers i.. achieve on goods S.
 
-    Only the middle rows take the 3^m pass.  The last buyer's row is a
-    submask maximum (m * 2^m steps), and row 0 is needed at the full goods
-    set only (2^m steps), so it is the one-entry mapping ``{full: best}``.
+    Only the middle rows take more than O(m * 2^m) steps.  The last buyer's
+    row is a submask maximum (m * 2^m steps), and row 0 is needed at the
+    full goods set only (2^m steps), so it is the one-entry mapping
+    ``{full: best}``.
+    ``options`` holds one ``_strict_options`` result per middle buyer, in
+    buyer order: with a list, the middle row pushes each listed bundle T
+    into every S = T | U for U inside the goods outside T; with None (or no
+    ``options``), it pulls over all 3^m pairs of S and its submasks.  Every
+    row is monotone, so both passes give the same row.
     """
     size = len(tables[0])
+    full = size - 1
     rows = [[0] * size]
     if len(tables) > 1:
         rows.insert(0, submask_max(tables[-1]))
-    for vals in tables[-2:0:-1]:
+    options = options or [None] * (len(tables) - 2)
+    for vals, opts in zip(tables[-2:0:-1], options[::-1]):
         nxt = rows[0]
-        cur = []
-        for s in range(size):
-            best = vals[0] + nxt[s]  # buyer takes nothing
-            t = s
-            while t:
-                cand = vals[t] + nxt[s ^ t]
-                if cand > best:
-                    best = cand
-                t = (t - 1) & s
-            cur.append(best)
+        if opts is None:
+            cur = []
+            for s in range(size):
+                best = vals[0] + nxt[s]  # buyer takes nothing
+                t = s
+                while t:
+                    cand = vals[t] + nxt[s ^ t]
+                    if cand > best:
+                        best = cand
+                    t = (t - 1) & s
+                cur.append(best)
+        else:
+            empty = vals[0]
+            cur = [empty + x for x in nxt]  # buyer takes nothing
+            for t in opts:
+                v = vals[t]
+                rest = full ^ t
+                u = rest
+                while True:
+                    cand = v + nxt[u]
+                    if cand > cur[t | u]:
+                        cur[t | u] = cand
+                    if not u:
+                        break
+                    u = (u - 1) & rest
         rows.insert(0, cur)
     # Buyer 0 takes T and the rest share full ^ T, which is index T of the
     # reversed row.
-    rows.insert(0, {size - 1: max(map(add, tables[0], reversed(rows[0])))})
+    rows.insert(0, {full: max(map(add, tables[0], reversed(rows[0])))})
     return rows
+
+
+def _middle_options(tables) -> list:
+    return [_strict_options(vals) for vals in tables[1:-1]]
 
 
 def _folded(tables, cost_tables):
@@ -134,11 +191,11 @@ def _folded(tables, cost_tables):
     return [[(v * dk).numerator - (c * d).numerator for v, c in zip(t, ct)] for t, ct in zip(tables, cost_tables)]
 
 
-def _least_tuple(tables) -> list[Bundle]:
+def _least_tuple(tables, options=None) -> list[Bundle]:
     """The least bundle tuple that maximises the sum of the per-buyer
     tables: per buyer in order, the smallest bundle preserving the optimum
-    of ``_dense_rows``."""
-    rows = _dense_rows(tables)
+    of ``_dense_rows`` (which ``options`` is passed to)."""
+    rows = _dense_rows(tables, options)
     masks = []
     s = len(tables[0]) - 1
     for vals, target_row, nxt in zip(tables, rows, rows[1:]):
@@ -164,7 +221,7 @@ def _dense_solve(profile: Profile, tie: TieBreak, reference: Profile | None):
         else:
             cost_tables = [list(map(cost, range(len(tables[0])))) for cost in costs]
         weights = _folded(tables, cost_tables)
-    masks = _least_tuple(weights)
+    masks = _least_tuple(weights, _middle_options(weights))
     return Allocation(profile.universe, tuple(masks)), sum(map(getitem, tables, masks))
 
 
@@ -276,7 +333,8 @@ def max_surplus(profile: Profile) -> Value:
     if profile.all_sparse:
         atoms = [atom for v in profile.valuations for atom in v.atoms]
         return max_packing(atoms, profile.universe.full_mask)
-    return _dense_rows(_dense_tables(profile))[0][profile.universe.full_mask]
+    tables = _dense_tables(profile)
+    return _dense_rows(tables, _middle_options(tables))[0][profile.universe.full_mask]
 
 
 def optimal_allocation(

@@ -8,6 +8,7 @@ floating point.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -83,9 +84,58 @@ def submask_max(vals) -> list:
     return row
 
 
+def _two_parses(labels: Sequence[str]) -> str | None:
+    """A string that two different label sequences spell, or None when the
+    labels are uniquely decodable (Sardinas & Patterson 1953).
+
+    Labels whose first characters occur nowhere else in them, such as the
+    ``of_size`` labels g0, g1, ..., split any text at those characters, so
+    one count over the joined labels settles them.  Otherwise each dangling
+    suffix x (what is left of a label after a shorter label or suffix) is
+    kept with a text that one label sequence spells, x longer than another;
+    an x that is itself a label completes the second parse.
+    """
+    if sum(map("".join(labels).count, {lab[0] for lab in labels})) == len(labels):
+        return None
+    words = set(labels)
+    ordered = sorted(words)
+    lengths = sorted({len(lab) for lab in words})
+    frontier = {}
+    for lab in ordered:
+        for k in lengths:
+            if k >= len(lab):
+                break
+            if lab[:k] in words:
+                frontier.setdefault(lab[k:], lab)
+    seen = set(frontier)
+    while frontier:
+        grown = {}
+        for x, text in sorted(frontier.items()):
+            if x in words:
+                return text
+            # A label that continues past x leaves the other sequence ahead...
+            i = bisect_left(ordered, x)
+            while i < len(ordered) and ordered[i].startswith(x):
+                y = ordered[i][len(x):]
+                if y and y not in seen:
+                    seen.add(y)
+                    grown[y] = text + y
+                i += 1
+            # ...and a label inside x leaves this one ahead by less.
+            for k in lengths:
+                if k >= len(x):
+                    break
+                if x[:k] in words and x[k:] not in seen:
+                    seen.add(x[k:])
+                    grown[x[k:]] = text
+        frontier = grown
+    return None
+
+
 @dataclass(frozen=True)
 class GoodsUniverse:
-    """An ordered set of m distinct good labels."""
+    """An ordered set of m distinct, nonempty good labels that are uniquely
+    decodable: no string is spelled by two different label sequences."""
 
     labels: tuple[str, ...]
 
@@ -96,6 +146,10 @@ class GoodsUniverse:
             raise InvalidInputError("good labels must be distinct")
         if any(not lab for lab in self.labels):
             raise InvalidInputError("good labels must be nonempty strings")
+        if len(self._label_lengths) > 1:  # labels of one length decode uniquely
+            text = _two_parses(self.labels)
+            if text is not None:
+                raise InvalidInputError(f"good labels are not uniquely decodable: {text!r} has two parses")
 
     def __eq__(self, other) -> bool:
         # Valuations and profiles nearly always share one universe object.

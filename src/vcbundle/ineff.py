@@ -9,6 +9,7 @@ the auction engine.
 """
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -295,33 +296,47 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _uneven_meetings(members, index, ids: range):
+    """(a, b, k) for each pair a < b in ``ids`` where k, the number of x in
+    ``members[a]`` with b in ``index[x]``, is not 1; in order of a, then b.
+
+    One pass over each x's ``index`` entries per a: O(sum over x of
+    |index[x]|^2 + |ids|^2) steps in all.
+    """
+    for a in ids:
+        meets = Counter(b for x in members[a] for b in index[x] if b > a)
+        once = {b for b, k in meets.items() if k == 1}
+        for b in sorted(set(range(a + 1, ids.stop)).difference(once)):
+            yield a, b, meets[b]
+
+
 def verify_plane_axioms(n_points: int, lines: Sequence[frozenset[int]], q: int) -> list[str]:
-    """All violations of the three plane axioms (empty list when valid)."""
+    """All violations of the three plane axioms (empty list when valid).
+
+    Pairs of lines meet through their shared points and pairs of points
+    through their common lines, so a plane of order q takes O(q^4) steps.
+    """
     problems = []
     expected = q * q + q + 1
     if n_points != expected:
         problems.append(f"expected {expected} points, got {n_points}")
     if len(lines) != expected:
         problems.append(f"expected {expected} lines, got {len(lines)}")
-    points = range(1, n_points + 1)
-    for line in lines:
+    on = defaultdict(list)  # each point, known or not, to the lines through it
+    for i, line in enumerate(lines):
         if len(line) != q + 1:
             problems.append(f"line {sorted(line)} has {len(line)} points, expected {q + 1}")
         if not all(1 <= p <= n_points for p in line):
             problems.append(f"line {sorted(line)} mentions unknown points")
-    for p in points:
-        deg = sum(1 for line in lines if p in line)
-        if deg != q + 1:
-            problems.append(f"point {p} lies on {deg} lines, expected {q + 1}")
-    for i, a in enumerate(lines):
-        for b in lines[i + 1 :]:
-            if len(a & b) != 1:
-                problems.append(f"lines {sorted(a)} and {sorted(b)} meet in {len(a & b)} points")
-    for p in points:
-        for r in range(p + 1, n_points + 1):
-            count = sum(1 for line in lines if p in line and r in line)
-            if count != 1:
-                problems.append(f"points {p},{r} lie on {count} common lines")
+        for p in line:
+            on[p].append(i)
+    for p in range(1, n_points + 1):
+        if len(on[p]) != q + 1:
+            problems.append(f"point {p} lies on {len(on[p])} lines, expected {q + 1}")
+    for i, j, k in _uneven_meetings(lines, on, range(len(lines))):
+        problems.append(f"lines {sorted(lines[i])} and {sorted(lines[j])} meet in {k} points")
+    for p, r, k in _uneven_meetings(on, lines, range(1, n_points + 1)):
+        problems.append(f"points {p},{r} lie on {k} common lines")
     return problems
 
 

@@ -522,6 +522,97 @@ class TestExactTieObjective:
             assert run_vc(profile, tie) == outcome
 
 
+def _unanimity_table(m, atoms):
+    return tuple(sum((w for a, w in atoms if a & s == a), 0) for s in range(1 << m))
+
+
+@st.composite
+def strict_kind_tables(draw, m: int) -> tuple:
+    """One dense table on m goods of a drawn kind: few strict bundles (a
+    unanimity sum), many (3|T| plus noise), all (additive, positive weights),
+    non-monotone, or fractional."""
+    size = 1 << m
+    kind = draw(st.sampled_from(["few", "many", "additive", "raw", "fractional"]))
+    if kind == "few":
+        atoms = [(draw(st.integers(1, size - 1)), draw(st.integers(1, 4))) for _ in range(draw(st.integers(1, 3)))]
+        return _unanimity_table(m, atoms)
+    if kind == "many":
+        noise = draw(st.lists(st.integers(0, 5), min_size=size, max_size=size))
+        return tuple(0 if s == 0 else 3 * s.bit_count() + noise[s] for s in range(size))
+    if kind == "additive":
+        weights = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+        return tuple(sum(weights[g] for g in range(m) if s >> g & 1) for s in range(size))
+    if kind == "raw":
+        return (0, *draw(st.lists(st.integers(0, 6), min_size=size - 1, max_size=size - 1)))
+    thirds = st.sampled_from([Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), 1])
+    atoms = [(draw(st.integers(1, size - 1)), draw(thirds)) for _ in range(draw(st.integers(1, 3)))]
+    return _unanimity_table(m, atoms)
+
+
+class TestStrictRows:
+    """The middle rows of the dense DP push over each buyer's strict
+    bundles when that is cheaper than the 3^m pass."""
+
+    def test_strict_options_of_additive_and_unanimity_tables(self):
+        m = 5
+        additive = tuple(s.bit_count() for s in range(1 << m))
+        assert auction._strict_options(additive) is None
+        # Atoms closed under union: the strict bundles are the atoms.
+        atoms = [(0b00011, 2), (0b00110, 1), (0b00111, 3), (0b11111, 1)]
+        assert auction._strict_options(_unanimity_table(m, atoms)) == [0b00011, 0b00110, 0b00111, 0b11111]
+        assert auction._strict_options(_unanimity_table(m, [])) == []
+
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_rows_are_the_same_with_and_without_lists(self, data):
+        m = data.draw(st.integers(1, 5))
+        tables = [data.draw(strict_kind_tables(m)) for _ in range(data.draw(st.integers(3, 5)))]
+        options = auction._middle_options(tables)
+        assert auction._dense_rows(tables, options) == auction._dense_rows(tables)
+
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_dense_solves_match_brute_force(self, data):
+        m = data.draw(st.integers(1, 5))
+        n = data.draw(st.integers(3, 4))
+        universe = GoodsUniverse.of_size(m)
+
+        def draw_profile():
+            return Profile(universe, tuple(
+                Valuation(universe, table=data.draw(strict_kind_tables(m))) for _ in range(n)
+            ))
+
+        profile = draw_profile()
+        reference = draw_profile()
+        assume(reference != profile)
+        best, optima = brute_force_optima(profile)
+        assert max_surplus(profile) == best
+
+        def surplus_of(prof, masks):
+            return sum((v.value(b) for v, b in zip(prof.valuations, masks)), Fraction(0))
+
+        def goods_used(masks):
+            return bin(sum(masks)).count("1")
+
+        expected = {
+            "canonical": min(optima),
+            "seller": min(optima, key=lambda masks: (goods_used(masks), masks)),
+            "adversarial": min(optima, key=lambda masks: (surplus_of(reference, masks), masks)),
+        }
+        without = [brute_force_optima(profile.drop(i))[0] for i in range(n)]
+        buyer = data.draw(st.integers(0, n - 1))
+        for tie in (TieBreak.canonical(), TieBreak.seller_favoring(), TieBreak.adversarial_to(buyer)):
+            alloc, s_max = optimal_allocation(profile, tie, reference)
+            assert s_max == best
+            assert alloc.buyer_bundles == expected[tie.kind]
+            outcome = run_vc(profile, tie, reference if tie.kind == "adversarial" else None)
+            chosen = outcome.allocation.buyer_bundles
+            assert chosen == expected[tie.kind]
+            for i in range(n):
+                others_at = surplus_of(profile, chosen) - profile.valuations[i].value(chosen[i])
+                assert outcome.payments[i] == without[i] - others_at
+
+
 class TestSparsePayments:
     """All-sparse run_vc reads every drop-one optimum from one shared packing."""
 

@@ -181,6 +181,14 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert b"Traceback" not in proc.stderr
 
+    def test_labels_with_two_parses_are_invalid_input(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"goods": ["a", "b", "ab"], "valuations": [{"kind": "dense", "values": {"ab": 1}}]}')
+        proc = cli("auction", "--instance", str(bad))
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert b"'ab' has two parses" in proc.stderr
+
     @pytest.mark.parametrize("bundle", ["5", '["a", "b"]', "null", '{"a": 1}'])
     def test_non_string_atom_bundles_are_invalid_input(self, tmp_path, bundle):
         bad = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -20,6 +21,14 @@ from vcbundle import (
     zero_valuation,
 )
 from conftest import brute_force_packing, dense_valuations, sparse_valuations
+
+
+def _parses(text, labels) -> int:
+    """How many label sequences spell ``text``."""
+    ways = [1] + [0] * len(text)
+    for end in range(1, len(text) + 1):
+        ways[end] = sum(ways[end - len(lab)] for lab in labels if text.endswith(lab, 0, end))
+    return ways[-1]
 
 
 class TestUniverse:
@@ -81,8 +90,42 @@ class TestUniverse:
     def test_bundle_names_are_the_canonical_strings(self):
         u = GoodsUniverse(("b", "a", "c", "d"))
         assert u.bundle_names == {u.format_bundle(mask): mask for mask in u.all_bundles()}
-        assert GoodsUniverse(("a", "b", "ab")).bundle_names is None
+        assert GoodsUniverse(("a", "b", "cd")).bundle_names is None
         assert GoodsUniverse.of_size(15).bundle_names is None
+
+    @pytest.mark.parametrize("labels, text", [
+        (("a", "b", "ab"), "ab"),
+        (("a", "aa"), "aa"),
+        (("0", "01", "10"), "010"),
+        (("1", "011", "01110", "1110", "10011"), "01110011"),
+    ])
+    def test_labels_with_two_parses_are_rejected(self, labels, text):
+        assert _parses(text, labels) >= 2
+        with pytest.raises(InvalidInputError, match=f"{text!r} has two parses"):
+            GoodsUniverse(labels)
+
+    def test_uniquely_decodable_labels_are_accepted(self):
+        # Neither prefix-free nor suffix-free, yet uniquely decodable: the
+        # dangling-suffix search runs and finds no second parse.
+        assert GoodsUniverse(("0", "01", "110")).m == 3
+        assert GoodsUniverse(("a", "ab", "bb")).m == 3
+        # Labels that each begin with a character found nowhere else in
+        # them need no search.
+        assert GoodsUniverse(("xa", "xab", "yb")).m == 3
+        assert GoodsUniverse.of_size(100_000).labels[-1] == "g99999"
+
+    @given(labels=st.lists(st.text("ab", min_size=1, max_size=3), min_size=2, max_size=5, unique=True))
+    @settings(max_examples=150)
+    def test_decodability_against_counted_parses(self, labels):
+        try:
+            GoodsUniverse(tuple(labels))
+        except InvalidInputError as exc:
+            text = re.search(r"'(\w+)' has two parses", str(exc)).group(1)
+            assert _parses(text, labels) >= 2
+        else:
+            for length in range(1, 9):
+                for chars in itertools.product("ab", repeat=length):
+                    assert _parses("".join(chars), labels) < 2
 
     def test_large_universe_labels(self):
         u = GoodsUniverse.of_size(30)

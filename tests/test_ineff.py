@@ -213,6 +213,38 @@ class TestSemiBalanced:
             check_semi_balanced([0b01], 2, [1, 1])
 
 
+def _plane_problems_by_scan(n_points, lines, q):
+    """The plane-axiom problems in the order verify_plane_axioms lists them,
+    found by testing every point against every line, every line pair and
+    every point pair against every line."""
+    problems = []
+    expected = q * q + q + 1
+    if n_points != expected:
+        problems.append(f"expected {expected} points, got {n_points}")
+    if len(lines) != expected:
+        problems.append(f"expected {expected} lines, got {len(lines)}")
+    for line in lines:
+        if len(line) != q + 1:
+            problems.append(f"line {sorted(line)} has {len(line)} points, expected {q + 1}")
+        if any(not 1 <= p <= n_points for p in line):
+            problems.append(f"line {sorted(line)} mentions unknown points")
+    points = range(1, n_points + 1)
+    for p in points:
+        deg = sum(p in line for line in lines)
+        if deg != q + 1:
+            problems.append(f"point {p} lies on {deg} lines, expected {q + 1}")
+    for i, a in enumerate(lines):
+        for b in lines[i + 1:]:
+            if len(a & b) != 1:
+                problems.append(f"lines {sorted(a)} and {sorted(b)} meet in {len(a & b)} points")
+    for p in points:
+        for r in range(p + 1, n_points + 1):
+            count = sum(p in line and r in line for line in lines)
+            if count != 1:
+                problems.append(f"points {p},{r} lie on {count} common lines")
+    return problems
+
+
 class TestPlanes:
     @pytest.mark.parametrize("q", [0, 1, 2, 3, 5])
     def test_constructed_planes_satisfy_axioms(self, q):
@@ -228,6 +260,24 @@ class TestPlanes:
 
     def test_reference_fano_lines_form_a_plane(self):
         assert verify_plane_axioms(7, FANO_LINES, 2) == []
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_corrupted_planes_report_as_a_full_scan_does(self, q):
+        plane = projective_plane(q)
+        lines = list(plane.lines)
+        n = plane.n_points
+        a, b = lines[0], lines[1]
+        extra = min(a - b)
+        corrupted = {
+            "dropped point": (n, [lines[0] - {min(lines[0])}, *lines[1:]]),
+            "last point gone": (n - 1, lines),
+            "duplicated line": (n, [*lines[:2], lines[0], *lines[3:]]),
+            "lines meeting twice": (n, [a, (b - {max(b - a)}) | {extra}, *lines[2:]]),
+        }
+        for name, (n_points, bad) in corrupted.items():
+            problems = verify_plane_axioms(n_points, bad, q)
+            assert problems, name
+            assert problems == _plane_problems_by_scan(n_points, bad, q), name
 
     def test_triangle(self):
         plane = projective_plane(1)
