@@ -459,32 +459,32 @@ def _payment_at(profile: Profile, i: int, others_at: Value) -> Value:
 
 def _sparse_payments(profile: Profile, values, total: Value) -> tuple[Value, ...]:
     """Every buyer's pivot payment on an all-sparse profile, with the
-    drop-one optima read from one packing whose memo all of them share.
+    drop-one optima of all buyers valued above 0 at the allocation read
+    from one pass over one packing that keeps one value per such buyer.
 
-    Atom j carries a private tag bit above the goods, so leaving buyer i's
-    tags out of ``free`` packs the others only, and past the dropped
-    buyers' last atoms the solves meet the same memo keys.  A buyer valued
-    0 at the allocation pays 0 with no solve: a sparse valuation is 0 on
-    the empty bundle and never negative, so the others' best without it is
-    the total.
+    A buyer valued 0 pays 0 with no solve: a sparse valuation is 0 on the
+    empty bundle and never negative, so the others' best without it is the
+    total.
     """
-    atoms = _atom_list(profile)
-    m = profile.universe.m
-    tags = [0] * profile.n
-    for j, (i, _, _) in enumerate(atoms):
-        tags[i] |= 1 << (m + j)
-    packing = AtomPacking([(mask | 1 << (m + j), w) for j, (_, mask, w) in enumerate(atoms)])
-    free = profile.universe.full_mask | sum(tags)
-    return tuple(
-        _payment(packing.best(0, free ^ tag) if value else total, total - value)
-        for tag, value in zip(tags, values)
-    )
+    payers = [i for i, value in enumerate(values) if value]
+    without = [total] * profile.n
+    if payers:
+        atoms = _atom_list(profile)
+        slot = {i: s for s, i in enumerate(payers)}
+        packing = AtomPacking([(mask, w) for _, mask, w in atoms])
+        optima = packing.best_without([slot.get(i) for i, _, _ in atoms], profile.universe.full_mask)
+        for i, best in zip(payers, optima):
+            without[i] = best
+    return tuple(_payment(best, total - value) for best, value in zip(without, values))
 
 
 def _values_at(profile: Profile, allocation: Allocation) -> tuple[Value, ...]:
-    return tuple(
-        v.value(mask) for v, mask in zip(profile.valuations, allocation.buyer_bundles)
-    )
+    """Each buyer's value for its bundle, read from the tables on the dense
+    route, which value a sparse valuation of any atom count."""
+    bundles = allocation.buyer_bundles
+    if profile.all_sparse:
+        return tuple(v.value(mask) for v, mask in zip(profile.valuations, bundles))
+    return tuple(map(getitem, _dense_tables(profile), bundles))
 
 
 def clarke_payment(

@@ -199,8 +199,9 @@ class GoodsUniverse:
     def parse_bundle(self, text: str) -> Bundle:
         """Parse concatenated labels ("abc"); "" is the empty bundle.
 
-        At each position the longest label that matches is taken.  A
-        string that names a good twice is rejected.
+        At each position the longest label that matches is taken.  Only when
+        that dead-ends, or names a good twice, does the parse back up to
+        shorter labels.  A string that names a good twice is rejected.
         """
         bits = self._bits
         if self._label_lengths == (1,):
@@ -220,16 +221,43 @@ class GoodsUniverse:
             # A slice cut short by the end of the text matches only a label
             # equal to the rest of the text, which is then the longest match.
             for length in self._label_lengths:
-                bit = bits.get(text[pos : pos + length])
+                label = text[pos : pos + length]
+                bit = bits.get(label)
                 if bit is not None:
-                    if mask & bit:
-                        label = text[pos : pos + length]
-                        raise InvalidInputError(f"bundle string {text!r} names {label!r} twice")
-                    mask |= bit
-                    pos += length
                     break
             else:
-                raise InvalidInputError(f"cannot parse bundle string {text!r}")
+                return self._parse_backing_up(text, f"cannot parse bundle string {text!r}")
+            if mask & bit:
+                return self._parse_backing_up(text, f"bundle string {text!r} names {label!r} twice")
+            mask |= bit
+            pos += length
+        return mask
+
+    def _parse_backing_up(self, text: str, failure: str) -> Bundle:
+        """The mask of the label sequence that spells ``text``, found from
+        the end; ``failure``, the longest match's message, when none does.
+        The labels are uniquely decodable, so at most one sequence does."""
+        bits = self._bits
+        size = len(text)
+        # steps[pos]: the length of the label that starts a parse of
+        # text[pos:], 0 when none does; -1 marks the end of the text.
+        steps = [0] * size + [-1]
+        for pos in range(size - 1, -1, -1):
+            for length in self._label_lengths:
+                if pos + length <= size and steps[pos + length] and text[pos : pos + length] in bits:
+                    steps[pos] = length
+                    break
+        if not steps[0]:
+            raise InvalidInputError(failure)
+        mask = 0
+        pos = 0
+        while pos < size:
+            label = text[pos : pos + steps[pos]]
+            bit = bits[label]
+            if mask & bit:
+                raise InvalidInputError(f"bundle string {text!r} names {label!r} twice")
+            mask |= bit
+            pos += len(label)
         return mask
 
     def format_bundle(self, mask: Bundle) -> str:
@@ -375,9 +403,13 @@ class AtomPacking:
     nonzero and every weight positive.  The memo lives and dies with the
     instance, which holds no reference cycle.  The recursion goes one level
     deeper per atom, so the atom count is capped at ``SPARSE_ATOMS_CAP``.
+
+    ``best_without`` runs the same recursion once for many drop-one optima,
+    keeping one value per slot at each state; its memo stays in
+    ``_drop_memo`` until the next such pass.
     """
 
-    __slots__ = ("order", "masks", "weights", "_cover", "_memo")
+    __slots__ = ("order", "masks", "weights", "_cover", "_memo", "_drop_memo")
 
     def __init__(self, atoms: Sequence[tuple[Bundle, Value]]) -> None:
         if len(atoms) > SPARSE_ATOMS_CAP:
@@ -410,6 +442,18 @@ class AtomPacking:
     def best(self, j: int, free: Bundle) -> Value:
         return _pack(j, free, self.masks, self.weights, self._cover, self._memo)
 
+    def best_without(self, groups: Sequence[int | None], free: Bundle) -> list[Value]:
+        """Entry g is V(0, free) over the atoms outside group g, for every
+        slot g up to the largest in ``groups``, which holds each input
+        atom's slot or None.  The pass visits the states of
+        ``best(0, free)`` once each: all the drop-one optima of pivot
+        payments for about the work of one solve (Hershberger & Suri 2001).
+        """
+        slots = [groups[i] for i in self.order]
+        zero = [0] * (1 + max((s for s in slots if s is not None), default=-1))
+        self._drop_memo = memo = {}
+        return _pack_without(0, free, self.masks, self.weights, slots, self._cover, memo, zero)
+
 
 def _pack(j: int, free: Bundle, masks, weights, cover, memo) -> Value:
     # Skip atoms that no longer fit; they cannot change V.
@@ -428,6 +472,31 @@ def _pack(j: int, free: Bundle, masks, weights, cover, memo) -> Value:
         cand = weights[j] + _pack(j + 1, free ^ atom, masks, weights, cover, memo)
         if cand > best:
             best = cand
+        memo[key] = best
+    return best
+
+
+def _pack_without(j: int, free: Bundle, masks, weights, slots, cover, memo, zero) -> list[Value]:
+    # ``_pack`` with one value per slot: taking atom j raises every entry
+    # but its own slot's, and a tie keeps the skip value as ``_pack`` does.
+    while True:
+        free &= cover[j]
+        if not free:
+            return zero
+        atom = masks[j]
+        if atom & free == atom:
+            break
+        j += 1
+    key = (j, free)
+    best = memo.get(key)
+    if best is None:
+        skip = _pack_without(j + 1, free, masks, weights, slots, cover, memo, zero)
+        take = _pack_without(j + 1, free ^ atom, masks, weights, slots, cover, memo, zero)
+        weight = weights[j]
+        best = [cand if (cand := weight + t) > s else s for s, t in zip(skip, take)]
+        slot = slots[j]
+        if slot is not None:
+            best[slot] = skip[slot]
         memo[key] = best
     return best
 

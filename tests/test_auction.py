@@ -27,7 +27,7 @@ from vcbundle import (
     unanimity_valuation,
 )
 from vcbundle import auction
-from vcbundle.core import AtomPacking
+from vcbundle.core import AtomPacking, max_packing
 from conftest import (
     brute_force_least_sigma_tuple,
     brute_force_optima,
@@ -255,6 +255,28 @@ class TestPackingKernel:
             packing = AtomPacking(atoms)
             packing.best(0, (1 << m) - 1)
             total += len(packing._memo)
+        assert total == 6_791
+
+    def test_drop_one_pass_visits_the_plain_states(self):
+        # Work pin: the drop-one pass on the atom sets above memoises
+        # exactly the states of one plain solve, and each entry is the
+        # plain optimum of the atoms outside its slot.
+        rng = random.Random(2024)
+        total = 0
+        for _ in range(200):
+            m = rng.randint(20, 30)
+            atoms = [
+                (sum(1 << g for g in rng.sample(range(m), rng.randint(1, 3))), rng.randint(1, 12))
+                for _ in range(rng.randint(16, 20))
+            ]
+            groups = [None if i % 5 == 4 else i % 3 for i in range(len(atoms))]
+            packing = AtomPacking(atoms)
+            optima = packing.best_without(groups, (1 << m) - 1)
+            total += len(packing._drop_memo)
+            assert optima == [
+                AtomPacking([a for a, g in zip(atoms, groups) if g != slot]).best(0, (1 << m) - 1)
+                for slot in range(3)
+            ]
         assert total == 6_791
 
     def test_sparse_solves_leave_no_cyclic_garbage(self):
@@ -614,23 +636,29 @@ class TestStrictRows:
 
 
 class TestSparsePayments:
-    """All-sparse run_vc reads every drop-one optimum from one shared packing."""
+    """All-sparse run_vc reads every paying buyer's drop-one optimum from one
+    pass over one packing, which keeps one value per paying buyer."""
 
     @given(data=st.data())
-    @settings(max_examples=150)
+    @settings(max_examples=150, deadline=None)
     def test_payments_match_brute_force_drop_one_optima(self, data):
-        universe = GoodsUniverse.of_size(data.draw(st.integers(1, 6)))
-        n = data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(1, 10))
+        universe = GoodsUniverse.of_size(m)
+        n = data.draw(st.integers(1, 8))
         weights = st.sampled_from([0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2), Fraction(5, 3)])
+        few_goods = st.sets(st.integers(0, m - 1), max_size=3).map(lambda gs: sum(1 << g for g in gs))
+        masks = st.one_of(few_goods, st.integers(0, universe.full_mask))
 
         def draw_profile():
-            return Profile(universe, tuple(
-                Valuation.from_atoms(universe, [
-                    (data.draw(st.integers(0, universe.full_mask)), data.draw(weights))
-                    for _ in range(data.draw(st.integers(1, 3)))
-                ])
-                for _ in range(n)
-            ))
+            left = 14  # atoms in all, so the brute force stays small
+            valuations = []
+            for _ in range(n):
+                count = data.draw(st.integers(0, min(3, left)))
+                left -= count
+                valuations.append(Valuation.from_atoms(
+                    universe, [(data.draw(masks), data.draw(weights)) for _ in range(count)]
+                ))
+            return Profile(universe, tuple(valuations))
 
         reported = draw_profile()
         true = draw_profile() if data.draw(st.booleans()) else None
@@ -646,6 +674,46 @@ class TestSparsePayments:
             values = [brute_force_packing(own, b) for own, b in zip(atoms, outcome.allocation.buyer_bundles)]
             for i in range(n):
                 assert outcome.payments[i] == without[i] - (sum(values) - values[i])
+
+    def test_payments_on_benchmark_shaped_profiles(self):
+        # Profiles shaped like the benchmark's sparse auctions, with int and
+        # Fraction weights: each payment against one plain packing of the
+        # other buyers' atoms, in value and, for buyers the pass solves
+        # (those valued above 0), in value type.
+        rng = random.Random(19)
+        weights = [1, 2, 3, 5, 12, Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
+        paying = 0
+        for _ in range(200):
+            m = rng.randint(20, 30)
+            universe = GoodsUniverse.of_size(m)
+            left = rng.randint(16, 20)
+            buyers = []
+            while left:
+                count = min(left, rng.randint(1, 3))
+                buyers.append([
+                    (sum(1 << g for g in rng.sample(range(m), rng.randint(1, 3))), rng.choice(weights))
+                    for _ in range(count)
+                ])
+                left -= count
+            profile = Profile(universe, tuple(Valuation.from_atoms(universe, a) for a in buyers))
+            outcome = run_vc(profile, TieBreak(rng.choice(["canonical", "seller"])))
+            values = [v.value(b) for v, b in zip(profile.valuations, outcome.allocation.buyer_bundles)]
+            total = sum(values)
+            for i, value in enumerate(values):
+                others = [a for k, v in enumerate(profile.valuations) if k != i for a in v.atoms]
+                expected = max_packing(others, universe.full_mask) - (total - value)
+                assert outcome.payments[i] == expected
+                if value:
+                    paying += 1
+                    assert type(outcome.payments[i]) is type(expected)
+        assert paying > 1000
+
+    def test_no_payment_pass_without_a_paying_buyer(self, monkeypatch):
+        universe = GoodsUniverse.of_size(3)
+        passes = []
+        monkeypatch.setattr(AtomPacking, "best_without", lambda *args: passes.append(args))
+        outcome = run_vc(Profile(universe, (Valuation.from_atoms(universe, []),) * 2))
+        assert passes == [] and outcome.payments == (0, 0)
 
     def test_one_packing_for_the_allocation_and_one_for_all_payments(self, monkeypatch):
         universe = GoodsUniverse.of_size(4)
@@ -820,6 +888,25 @@ class TestRunVC:
         for truth in (wrong_count, wrong_universe):
             with pytest.raises(InvalidInputError, match="^true profile shape mismatch$"):
                 run_vc(reported, tie, true_profile=truth)
+
+    @pytest.mark.parametrize("dense_weight", [0, 30])
+    def test_mixed_profile_past_the_atom_cap_values_from_tables(self, dense_weight):
+        # A buyer of 100 overlapping atoms beside two dense buyers: more
+        # atoms than one packing may hold, on a profile the dense route
+        # solves, so its outcome is that of the same profile as tables.
+        universe = GoodsUniverse.of_size(10)
+        rng = random.Random(7)
+        many = Valuation.from_atoms(universe, [
+            (sum(1 << g for g in rng.sample(range(10), 2)), rng.randint(1, 9)) for _ in range(100)
+        ])
+        dense = unanimity_valuation(universe, 0b11, dense_weight).to_dense()
+        profile = Profile(universe, (dense, dense, many))
+        outcome = run_vc(profile)
+        assert outcome == run_vc(Profile(universe, (dense, dense, many.to_dense())))
+        assert (sum(outcome.payments) > 0) == (dense_weight > 0)
+        # A payment re-solve that leaves an all-sparse profile keeps the cap.
+        with pytest.raises(BudgetExceededError, match="64 atoms, got 100"):
+            run_vc(Profile(universe, (dense, many)))
 
     @given(data=st.data())
     @settings(max_examples=40)

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import pathlib
+import random
 import shlex
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from vcbundle import BudgetExceededError, GoodsUniverse, InvalidInputError, Profile, Valuation, jsonio, run_vc
+from vcbundle.cli import main as cli_main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "goldens"
@@ -220,8 +227,8 @@ class TestDeterminismAndGoldens:
 
 class TestBudgetExits:
     def test_atom_budget_exits_2_without_traceback(self, tmp_path):
-        # Valuing the awarded bundle packs 1200 atoms; uncapped, that recursion
-        # overflowed the interpreter stack.
+        # The payment re-solve without the dense buyer packs 1200 atoms;
+        # uncapped, that recursion overflowed the interpreter stack.
         goods = [chr(ord("a") + i) for i in range(10)]
         atoms = [{"bundle": goods[i % 10], "weight": 1} for i in range(1200)]
         doc = {
@@ -234,6 +241,28 @@ class TestBudgetExits:
         assert proc.returncode == 2
         assert b"Traceback" not in proc.stderr
         assert b"64" in proc.stderr and b"1200" in proc.stderr
+
+    def test_mixed_profile_past_the_atom_cap_exits_0(self, tmp_path):
+        # The dense route values the awarded bundles from tables, so a buyer
+        # of 100 overlapping atoms beside dense buyers needs no packing.
+        goods = [chr(ord("a") + i) for i in range(10)]
+        rng = random.Random(7)
+        atoms = [(sum(1 << g for g in rng.sample(range(10), 2)), rng.randint(1, 9)) for _ in range(100)]
+        many = {"kind": "atoms", "atoms": [
+            {"bundle": "".join(goods[g] for g in range(10) if mask >> g & 1), "weight": w} for mask, w in atoms
+        ]}
+        zero = {"kind": "dense", "values": {}}
+        path = tmp_path / "mixed-many-atoms.json"
+        path.write_text(json.dumps({"goods": goods, "valuations": [zero, zero, many]}))
+        proc = cli("auction", "--instance", str(path))
+        assert proc.returncode == 0, proc.stderr
+        universe = GoodsUniverse(tuple(goods))
+        tables = Profile(universe, (
+            Valuation.dense(universe, [0] * 1024),
+            Valuation.dense(universe, [0] * 1024),
+            Valuation.from_atoms(universe, atoms).to_dense(),
+        ))
+        assert json.loads(proc.stdout) == jsonio.outcome_payload(run_vc(tables))
 
     def test_adversarial_tie_walk_budget_exits_2_without_traceback(self, tmp_path):
         # Two buyers each hold a unit atom on every one of 32 goods: 2^32
@@ -283,3 +312,70 @@ def test_partition_shapes_script_reports_minimum(capsys):
 
     assert main(["--m", "6", "--k", "3"]) == 0
     assert "minimum ratio over 3 shapes: 3," in capsys.readouterr().out
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _documents(draw):
+    """An instance, family and single valuation in one document, often
+    valid, with fields replaced by arbitrary JSON at random depths."""
+    labels = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "ab", "bb"]), min_size=1, max_size=4, unique=True))
+    bundle = st.lists(st.sampled_from(labels), max_size=3).map("".join)
+    weight = st.integers(0, 9) | st.sampled_from(["1/2", "7/3", "0.25", "-1", "1e2"])
+    valuation = st.fixed_dictionaries({
+        "kind": st.just("atoms"),
+        "atoms": st.lists(st.fixed_dictionaries({"bundle": bundle, "weight": weight}), max_size=3),
+    }) | st.fixed_dictionaries({"kind": st.just("dense"), "values": st.dictionaries(bundle, weight, max_size=3)})
+    doc = {
+        "goods": labels,
+        "valuations": draw(st.lists(valuation, min_size=1, max_size=3)),
+        "bundles": draw(st.lists(bundle, max_size=4)),
+        "valuation": draw(valuation),
+    }
+    while draw(st.booleans()):
+        node = doc
+        while True:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if not (isinstance(child, (dict, list)) and child and draw(st.booleans())):
+                node[key] = draw(_JSON)
+                break
+            node = child
+    return doc
+
+
+_DOCUMENT = _documents() | _JSON
+
+
+class TestArbitraryJson:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_document_exits_0_1_or_2_without_traceback(self, tmp_path_factory, data):
+        doc = data.draw(_DOCUMENT)
+        family = data.draw(st.just(doc) | _DOCUMENT)
+        for parse, arg in ((jsonio.parse_instance, doc), (jsonio.parse_family, family)):
+            try:
+                parse(arg)
+            except (InvalidInputError, BudgetExceededError):
+                pass
+        folder = tmp_path_factory.getbasetemp()
+        doc_path, family_path = str(folder / "fuzz-doc.json"), str(folder / "fuzz-family.json")
+        for path, content in ((doc_path, doc), (family_path, family)):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(content, fh)
+        for argv in (
+            ["auction", "--instance", doc_path],
+            ["auction", "--instance", doc_path, "--family", family_path],
+            ["project", "--valuation", doc_path, "--family", family_path],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(argv)
+            assert code in (0, 1, 2), err.getvalue()
+            assert "Traceback" not in err.getvalue()

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vcbundle import (
     Allocation,
@@ -86,6 +86,71 @@ class TestUniverse:
         except InvalidInputError as exc:
             got = str(exc)
         assert got == longest_match()
+
+    def test_parse_backs_up_where_the_longest_match_dead_ends(self):
+        u = GoodsUniverse(("a", "ab", "bb"))
+        assert u.parse_bundle("abb") == u.parse_bundle("bba") == 0b101
+        assert u.parse_bundle("abbab") == 0b111
+        with pytest.raises(InvalidInputError, match="^bundle string 'abba' names 'a' twice$"):
+            u.parse_bundle("abba")
+        with pytest.raises(InvalidInputError, match="^bundle string 'abbbb' names 'bb' twice$"):
+            u.parse_bundle("abbbb")
+        with pytest.raises(InvalidInputError, match="^bundle string 'abab' names 'ab' twice$"):
+            u.parse_bundle("abab")
+        with pytest.raises(InvalidInputError, match="^cannot parse bundle string 'bab'$"):
+            u.parse_bundle("bab")
+
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_multi_character_labels_parse_as_their_one_spelling(self, data):
+        # Uniquely decodable labels over a two-letter alphabet.  Text spelled
+        # by distinct labels parses to their mask.  Any other text keeps the
+        # longest-match parse, or its message, wherever that parse finishes
+        # or no label sequence spells the text; otherwise the one spelling
+        # decides.
+        word = st.text("01", min_size=1, max_size=4)
+        labels = data.draw(st.lists(word, min_size=2, max_size=6, unique=True))
+        try:
+            universe = GoodsUniverse(tuple(labels))
+        except InvalidInputError:
+            assume(False)
+        picked = data.draw(st.permutations(range(len(labels))))[: data.draw(st.integers(0, len(labels)))]
+        assert universe.parse_bundle("".join(labels[i] for i in picked)) == sum(1 << i for i in picked)
+        text = data.draw(st.text("01", max_size=10))
+
+        def longest_match():
+            mask = pos = 0
+            while pos < len(text):
+                matches = [lab for lab in labels if text.startswith(lab, pos)]
+                if not matches:
+                    return f"cannot parse bundle string {text!r}", False
+                label = max(matches, key=len)
+                bit = 1 << labels.index(label)
+                if mask & bit:
+                    return f"bundle string {text!r} names {label!r} twice", False
+                mask |= bit
+                pos += len(label)
+            return mask, True
+
+        try:
+            got = universe.parse_bundle(text)
+        except InvalidInputError as exc:
+            got = str(exc)
+        def spelling(pos=0):
+            if pos == len(text):
+                return []
+            for lab in labels:
+                if text.startswith(lab, pos) and (rest := spelling(pos + len(lab))) is not None:
+                    return [lab, *rest]
+            return None
+
+        want, finished = longest_match()
+        spelled = spelling()
+        if not finished and spelled is not None:
+            twice = [lab for k, lab in enumerate(spelled) if lab in spelled[:k]]
+            want = f"bundle string {text!r} names {twice[0]!r} twice" if twice else sum(
+                1 << labels.index(lab) for lab in spelled)
+        assert got == want
 
     def test_bundle_names_are_the_canonical_strings(self):
         u = GoodsUniverse(("b", "a", "c", "d"))
