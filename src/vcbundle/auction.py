@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from fractions import Fraction
 from operator import add, getitem
 
 from .core import (
@@ -28,6 +28,7 @@ from .core import (
     Partition,
     Profile,
     Value,
+    as_value,
     max_packing,
     submask_max,
     table_size,
@@ -229,7 +230,7 @@ def _atom_list(profile: Profile):
     return [(i, mask, weight) for i, v in enumerate(profile.valuations) for mask, weight in v.atoms]
 
 
-def _keyed_atoms(atoms, n: int, costs) -> list[tuple[Bundle, int]]:
+def _keyed_atoms(atoms, n: int, costs):
     """(mask, w*D*K - key) per atom, where the keys of a packing add up to a
     number that orders packings as the tie rule does: the tie cost
     c_i(a) - c_i(empty), cleared of denominators, above the canonical
@@ -238,7 +239,12 @@ def _keyed_atoms(atoms, n: int, costs) -> list[tuple[Bundle, int]]:
     cost is additive: seller's is the goods count, and adversarial comes
     here only when no buyer has two live atoms.  D clears the weights'
     denominators and K exceeds the difference between any two packings'
-    keys."""
+    keys.
+
+    Also returns ``plain``, which maps a keyed packing total back to the
+    packing's plain weight W exactly: the keys of any packing lie in
+    [-N, K - N), N the sum of the negative tie terms (0 unless a reference
+    is not monotone), so W*D = ceil((total - N) / K)."""
     covers = [0] * n
     for i, mask, _ in atoms:
         covers[i] |= mask
@@ -252,51 +258,86 @@ def _keyed_atoms(atoms, n: int, costs) -> list[tuple[Bundle, int]]:
         extra = [costs[i](mask) - costs[i](0) for i, mask, _ in atoms]
         d = math.lcm(*{x.denominator for x in extra})
         ties = [(x * d).numerator << width for x in extra]
-    dk = math.lcm(*{w.denominator for _, _, w in atoms}) * ((1 << width) + sum(map(abs, ties)))
-    return [(mask, (w * dk).numerator - tie - (mask << offsets[i])) for (i, mask, w), tie in zip(atoms, ties)]
+    d = math.lcm(*{w.denominator for _, _, w in atoms})
+    k = (1 << width) + sum(map(abs, ties))
+    dk = d * k
+    low = -sum(tie for tie in ties if tie < 0)
+
+    def plain(total):
+        wd = -((low - total) // k)
+        return wd if d == 1 else as_value(Fraction(wd, d))
+
+    keyed = [(mask, (w * dk).numerator - tie - (mask << offsets[i])) for (i, mask, w), tie in zip(atoms, ties)]
+    return keyed, plain
 
 
-def _sparse_solve(profile: Profile, tie: TieBreak, reference: Profile | None):
+def _sparse_solve(profile: Profile, tie: TieBreak, reference: Profile | None, drop_one: bool = False):
+    """(allocation, each buyer's value at it, drop-one optima) from one
+    packing of the profile's atoms.  A buyer's value at an optimal packing
+    is the sum of its taken atoms, or a better packing inside its bundle
+    would beat it.
+
+    With ``drop_one``, one ``best_without`` pass over the packing gives
+    entry i the best surplus without buyer i, and entry n, a slot that
+    holds no atom, S_max; the reconstruction then reads V(j, free) from
+    that pass's memo, so the packing runs one recursion.  Otherwise it
+    reads ``best`` and the entries are all 0.
+    """
     atoms = _atom_list(profile)
     costs = _tie_costs(profile, tie, reference)
+    n = profile.n
     full = profile.universe.full_mask
-    if tie.kind == "adversarial" and len({i for i, _, _ in atoms}) < len(atoms):
-        # A multi-atom buyer's reference value is not additive over its atoms.
+    # A multi-atom buyer's reference value is not additive over its atoms.
+    walk = tie.kind == "adversarial" and len({i for i, _, _ in atoms}) < len(atoms)
+    if walk:
         packing = AtomPacking([(mask, w) for _, mask, w in atoms])
-        buyers = [atoms[i][0] for i in packing.order]
-        costs = [cache(cost) for cost in costs]  # leaves repeat (buyer, bundle) pairs
-        optimum = packing.best(0, full)
-        _, masks = _least_optimum(packing, buyers, costs, 0, full, optimum, [0] * profile.n, [0])
-        return Allocation(profile.universe, masks), optimum
+        plain = as_value
+    else:
+        keyed, plain = _keyed_atoms(atoms, n, costs)
+        packing = AtomPacking(keyed)
+    optimum = packing.best
+    without = [0] * (n + 1)  # every optimum of a profile with no atom
+    if drop_one and atoms:
+        without = list(map(plain, packing.best_without([i for i, _, _ in atoms], full, n + 1)))
+        optimum = lambda j, free: packing.without(j, free)[n]
+    need = optimum(0, full)
+    if walk:
+        buyers = [atoms[k][0] for k in packing.order]
+        _, masks, values = _least_optimum(
+            packing, optimum, buyers, costs, {}, 0, full, need, [0] * n, [0] * n, [0]
+        )
+    else:
+        # Read the one optimal bundle tuple back in a forward pass: an atom
+        # is taken exactly when it fits and the optimum stays reachable.
+        free = full
+        masks = [0] * n
+        values = [0] * n
+        for j, (mask, weight, index) in enumerate(zip(packing.masks, packing.weights, packing.order)):
+            if mask & free == mask and need:
+                rest = optimum(j + 1, free ^ mask)
+                if weight + rest == need:
+                    i, _, w = atoms[index]
+                    masks[i] |= mask
+                    values[i] += w
+                    free ^= mask
+                    need = rest
+    return Allocation(profile.universe, tuple(masks)), values, without
 
-    # Read the one optimal bundle tuple back in a forward pass: an atom is
-    # taken exactly when it fits and the optimum stays reachable.
-    packing = AtomPacking(_keyed_atoms(atoms, profile.n, costs))
-    need = packing.best(0, full)
-    free = full
-    masks = [0] * profile.n
-    value = 0
-    for j, (mask, weight, index) in enumerate(zip(packing.masks, packing.weights, packing.order)):
-        if mask & free == mask and need:
-            rest = packing.best(j + 1, free ^ mask)
-            if weight + rest == need:
-                i, _, w = atoms[index]
-                masks[i] |= mask
-                value += w
-                free ^= mask
-                need = rest
-    return Allocation(profile.universe, tuple(masks)), value
 
+def _least_optimum(
+    packing: AtomPacking, optimum, buyers, costs, seen, j: int, free: int, need: Value, masks, worth, nodes
+):
+    """(key, buyer masks, buyer values) of the optimal leaf below atom j
+    that is least in key = (reference surplus, bundle tuple).
 
-def _least_optimum(packing: AtomPacking, buyers, costs, j: int, free: int, need: Value, masks, nodes):
-    """(key, buyer masks) of the optimal leaf below atom j that is least in
-    key = (reference surplus, bundle tuple).
-
-    ``need`` is the weight atoms j.. must still add inside ``free``; a child
-    is entered only when its exact value V meets it, so every leaf reached
-    is optimal.  Once ``need`` is 0 the remaining (positive) atoms are all
-    left out.  A leaf's key is None until it meets another leaf, so a walk
-    with one optimum computes none.  ``nodes[0]`` counts the nodes entered.
+    ``optimum(j, free)`` is the packing's V; ``need`` is the weight atoms
+    j.. must still add inside ``free``, and a child is entered only when
+    its exact V meets it, so every leaf reached is optimal.  Once ``need``
+    is 0 the remaining (positive) atoms are all left out.  ``masks`` and
+    ``worth`` hold each buyer's taken atoms so far.  A leaf's key is None
+    until it meets another leaf, so a walk with one optimum computes none;
+    ``seen`` holds each (buyer, bundle) cost computed.  ``nodes[0]`` counts
+    the nodes entered.
     """
     nodes[0] += 1
     if nodes[0] > TIE_WALK_NODES_CAP:
@@ -304,28 +345,40 @@ def _least_optimum(packing: AtomPacking, buyers, costs, j: int, free: int, need:
             f"adversarial tie walk capped at {TIE_WALK_NODES_CAP} nodes, reached {nodes[0]}"
         )
     if not need:
-        return None, tuple(masks)
+        return None, tuple(masks), tuple(worth)
     best = None
     mask = packing.masks[j]
     weight = packing.weights[j]
-    if mask & free == mask and weight + packing.best(j + 1, free ^ mask) == need:
+    args = packing, optimum, buyers, costs, seen, j + 1
+    if mask & free == mask and weight + optimum(j + 1, free ^ mask) == need:
         buyer = buyers[j]
         masks[buyer] |= mask
-        best = _least_optimum(packing, buyers, costs, j + 1, free ^ mask, need - weight, masks, nodes)
+        worth[buyer] += weight
+        best = _least_optimum(*args, free ^ mask, need - weight, masks, worth, nodes)
         masks[buyer] ^= mask
-    if packing.best(j + 1, free) == need:
-        leaf = _least_optimum(packing, buyers, costs, j + 1, free, need, masks, nodes)
+        worth[buyer] -= weight
+    if optimum(j + 1, free) == need:
+        leaf = _least_optimum(*args, free, need, masks, worth, nodes)
         if best is not None:
-            best, leaf = _keyed(costs, best), _keyed(costs, leaf)
+            best, leaf = _keyed(costs, seen, best), _keyed(costs, seen, leaf)
         if best is None or leaf[0] < best[0]:
             best = leaf
     return best
 
 
-def _keyed(costs, leaf):
-    """A walk leaf with its key (reference surplus, bundle tuple) filled in."""
-    key, masks = leaf
-    return key or (sum(cost(b) for cost, b in zip(costs, masks)), masks), masks
+def _keyed(costs, seen, leaf):
+    """A walk leaf with its key (reference surplus, bundle tuple) filled in;
+    leaves repeat (buyer, bundle) pairs, so ``seen`` keeps their costs."""
+    key, masks, worth = leaf
+    if key is None:
+        total = 0
+        for pair in enumerate(masks):
+            cost = seen.get(pair)
+            if cost is None:
+                cost = seen[pair] = costs[pair[0]](pair[1])
+            total += cost
+        key = total, masks
+    return key, masks, worth
 
 
 def max_surplus(profile: Profile) -> Value:
@@ -345,7 +398,8 @@ def optimal_allocation(
     """A surplus-maximizing allocation chosen by the tie rule, plus S_max."""
     tie = tie or TieBreak.canonical()
     if profile.all_sparse:
-        return _sparse_solve(profile, tie, reference)
+        allocation, values, _ = _sparse_solve(profile, tie, reference)
+        return allocation, sum(values)
     return _dense_solve(profile, tie, reference)
 
 
@@ -449,33 +503,12 @@ def _payment(without: Value, others_at: Value) -> Value:
     payment = without - others_at
     if payment < 0:
         raise InternalInvariantError("pivot payment came out negative")
-    return payment
+    return as_value(payment)
 
 
 def _payment_at(profile: Profile, i: int, others_at: Value) -> Value:
     rest = profile.drop(i)
     return _payment(0 if rest is None else max_surplus(rest), others_at)
-
-
-def _sparse_payments(profile: Profile, values, total: Value) -> tuple[Value, ...]:
-    """Every buyer's pivot payment on an all-sparse profile, with the
-    drop-one optima of all buyers valued above 0 at the allocation read
-    from one pass over one packing that keeps one value per such buyer.
-
-    A buyer valued 0 pays 0 with no solve: a sparse valuation is 0 on the
-    empty bundle and never negative, so the others' best without it is the
-    total.
-    """
-    payers = [i for i, value in enumerate(values) if value]
-    without = [total] * profile.n
-    if payers:
-        atoms = _atom_list(profile)
-        slot = {i: s for s, i in enumerate(payers)}
-        packing = AtomPacking([(mask, w) for _, mask, w in atoms])
-        optima = packing.best_without([slot.get(i) for i, _, _ in atoms], profile.universe.full_mask)
-        for i, best in zip(payers, optima):
-            without[i] = best
-    return tuple(_payment(best, total - value) for best, value in zip(without, values))
 
 
 def _values_at(profile: Profile, allocation: Allocation) -> tuple[Value, ...]:
@@ -507,7 +540,10 @@ def run_vc(
     """Full outcome of the mechanism on the reported profile.
 
     Utilities (and the surplus field) are measured against ``true_profile``
-    when supplied, else against the reports themselves.
+    when supplied, else against the reports themselves.  An all-sparse
+    profile takes its allocation and every drop-one optimum from one
+    packing pass; any other is tabulated once, and its payments re-solve
+    the profile without each buyer.
     """
     tie = tie or TieBreak.canonical()
     if true_profile is not None and (true_profile.n != reported.n or true_profile.universe != reported.universe):
@@ -515,18 +551,29 @@ def run_vc(
     reference = None
     if tie.kind == "adversarial":
         reference = true_profile if true_profile is not None else reported
-    allocation, reported_surplus = optimal_allocation(reported, tie, reference)
-    values = _values_at(reported, allocation)
-    total = sum(values)
     if reported.all_sparse:
-        payments = _sparse_payments(reported, values, total)
+        allocation, values, without = _sparse_solve(reported, tie, reference, drop_one=True)
+        reported_surplus = without.pop()
+        total = sum(values)
+        payments = tuple(_payment(best, total - value) for best, value in zip(without, values))
     else:
-        payments = tuple(_payment_at(reported, i, total - v) for i, v in enumerate(values))
+        tabulated = Profile(reported.universe, tuple(v.to_dense() for v in reported.valuations))
+        if reference is reported:
+            reference = tabulated
+        allocation, reported_surplus = optimal_allocation(tabulated, tie, reference)
+        values = _values_at(tabulated, allocation)
+        total = sum(values)
+        # A re-solve that leaves only sparse buyers keeps the sparse route.
+        dense = [i for i, v in enumerate(reported.valuations) if not v.is_sparse]
+        payments = tuple(
+            _payment_at(reported if dense == [i] else tabulated, i, total - value)
+            for i, value in enumerate(values)
+        )
     if true_profile is not None:
         values = _values_at(true_profile, allocation)
-    surplus = sum(values)
-    revenue = sum(payments)
-    utilities = tuple(val - pay for val, pay in zip(values, payments))
+    surplus = as_value(sum(values))
+    revenue = as_value(sum(payments))
+    utilities = tuple(as_value(val - pay) for val, pay in zip(values, payments))
     if true_profile is None:
         if surplus != reported_surplus:
             raise InternalInvariantError("chosen allocation is not surplus-optimal")

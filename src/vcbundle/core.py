@@ -406,10 +406,10 @@ class AtomPacking:
 
     ``best_without`` runs the same recursion once for many drop-one optima,
     keeping one value per slot at each state; its memo stays in
-    ``_drop_memo`` until the next such pass.
+    ``_drop_memo`` until the next such pass, and ``without`` reads it.
     """
 
-    __slots__ = ("order", "masks", "weights", "_cover", "_memo", "_drop_memo")
+    __slots__ = ("order", "masks", "weights", "_cover", "_memo", "_slots", "_zero", "_drop_memo")
 
     def __init__(self, atoms: Sequence[tuple[Bundle, Value]]) -> None:
         if len(atoms) > SPARSE_ATOMS_CAP:
@@ -442,17 +442,29 @@ class AtomPacking:
     def best(self, j: int, free: Bundle) -> Value:
         return _pack(j, free, self.masks, self.weights, self._cover, self._memo)
 
-    def best_without(self, groups: Sequence[int | None], free: Bundle) -> list[Value]:
-        """Entry g is V(0, free) over the atoms outside group g, for every
-        slot g up to the largest in ``groups``, which holds each input
-        atom's slot or None.  The pass visits the states of
-        ``best(0, free)`` once each: all the drop-one optima of pivot
-        payments for about the work of one solve (Hershberger & Suri 2001).
+    def best_without(self, groups: Sequence[int | None], free: Bundle, slots: int | None = None) -> list[Value]:
+        """Entry g is V(0, free) over the atoms outside group g, for each of
+        ``slots`` slots; ``groups`` holds each input atom's slot or None,
+        and a slot that holds no atom gets V(0, free) itself.  The pass
+        visits the states of ``best(0, free)`` once each: all the drop-one
+        optima of pivot payments for about the work of one solve
+        (Hershberger & Suri 2001).  ``run_vc`` always passes ``slots``;
+        the default, up to the largest slot in ``groups``, is kept only for
+        the state-count pin ``test_drop_one_pass_visits_the_plain_states``.
         """
-        slots = [groups[i] for i in self.order]
-        zero = [0] * (1 + max((s for s in slots if s is not None), default=-1))
-        self._drop_memo = memo = {}
-        return _pack_without(0, free, self.masks, self.weights, slots, self._cover, memo, zero)
+        self._slots = [groups[i] for i in self.order]
+        if slots is None:
+            slots = 1 + max((s for s in self._slots if s is not None), default=-1)
+        self._zero = [0] * slots
+        self._drop_memo = {}
+        return self.without(0, free)
+
+    def without(self, j: int, free: Bundle) -> list[Value]:
+        """The slot entries of the last ``best_without`` pass at state
+        (j, free), each over atoms j.. only."""
+        return _pack_without(
+            j, free, self.masks, self.weights, self._slots, self._cover, self._drop_memo, self._zero
+        )
 
 
 def _pack(j: int, free: Bundle, masks, weights, cover, memo) -> Value:

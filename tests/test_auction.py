@@ -635,9 +635,123 @@ class TestStrictRows:
                 assert outcome.payments[i] == without[i] - others_at
 
 
+_WEIGHT_KINDS = {
+    "int": [0, 1, 2, 3],
+    "fractional": [Fraction(1, 2), Fraction(3, 2), Fraction(1, 3), Fraction(2, 3)],
+    "mixed": [0, 1, 2, Fraction(1, 2), Fraction(3, 2), Fraction(5, 3)],
+}
+
+
+@st.composite
+def sparse_auctions(draw):
+    """(reported, true or None, buyer): atom profiles on 1-6 goods with up to
+    three atoms a buyer, of int, fractional or mixed weights; weight-0
+    atoms leave buyers with no atom."""
+    universe = GoodsUniverse.of_size(draw(st.integers(1, 6)))
+    n = draw(st.integers(1, 5))
+    weights = st.sampled_from(_WEIGHT_KINDS[draw(st.sampled_from(sorted(_WEIGHT_KINDS)))])
+    atom = st.tuples(st.integers(1, universe.full_mask), weights)
+
+    def profile():
+        return Profile(universe, tuple(
+            Valuation.from_atoms(universe, draw(st.lists(atom, max_size=3))) for _ in range(n)
+        ))
+
+    reported = profile()
+    true = profile() if draw(st.booleans()) else None
+    return reported, true, draw(st.integers(0, n - 1))
+
+
+def _three_rules(buyer):
+    return TieBreak.canonical(), TieBreak.seller_favoring(), TieBreak.adversarial_to(buyer)
+
+
+def _atom_profile(universe, *buyers):
+    return Profile(universe, tuple(Valuation.from_atoms(universe, atoms) for atoms in buyers))
+
+
 class TestSparsePayments:
-    """All-sparse run_vc reads every paying buyer's drop-one optimum from one
-    pass over one packing, which keeps one value per paying buyer."""
+    """All-sparse run_vc takes its allocation and every buyer's drop-one
+    optimum from one pass over one packing, which keeps one value per
+    buyer and one for the whole profile."""
+
+    @given(case=sparse_auctions())
+    @example(case=(
+        # Buyer 0 holds two atoms, so adversarial walks, and it picks the
+        # optimum that the canonical order puts last: the truth is worth
+        # less there.
+        _atom_profile(GoodsUniverse.of_size(2), [(1, 1), (2, 1)], [(3, 2)], []),
+        _atom_profile(GoodsUniverse.of_size(2), [(1, 1)], [(3, 5)], [(2, 1)]),
+        0,
+    ))
+    @settings(max_examples=200)
+    def test_run_vc_allocates_as_optimal_allocation(self, case):
+        reported, true, buyer = case
+        for tie in _three_rules(buyer):
+            reference = (true or reported) if tie.kind == "adversarial" else None
+            assert run_vc(reported, tie, true).allocation == optimal_allocation(reported, tie, reference)[0]
+
+    @given(case=sparse_auctions(), dense=st.booleans())
+    @settings(max_examples=150)
+    def test_outcome_values_are_int_exactly_when_integral(self, case, dense):
+        # On the sparse routes (keyed and walk) and, with the reports as
+        # tables, on the dense route.
+        reported, true, buyer = case
+        if dense:
+            reported = Profile(reported.universe, tuple(v.to_dense() for v in reported.valuations))
+        for tie in _three_rules(buyer):
+            outcome = run_vc(reported, tie, true)
+            for x in (*outcome.payments, *outcome.utilities, outcome.surplus, outcome.revenue):
+                assert type(x) is (int if x.denominator == 1 else Fraction)
+
+    def test_keyed_pass_under_a_reference_that_is_not_monotone(self):
+        # Reference tables worth more on the empty bundle than on an atom
+        # give tie terms below 0; the drop-one optima still convert back
+        # exactly.
+        universe = GoodsUniverse.of_size(2)
+        reported = _atom_profile(universe, [(1, Fraction(3, 2))], [(3, 2)], [(2, Fraction(1, 2))])
+        reference = Profile(universe, (
+            Valuation(universe, table=(3, 0, 3, 3)),
+            Valuation(universe, table=(0, 0, 0, 7)),
+            Valuation(universe, table=(2, 2, Fraction(1, 3), 2)),
+        ))
+        atoms = [v.atoms for v in reported.valuations]
+        without = [brute_force_packing([a for k, own in enumerate(atoms) if k != i for a in own], 3) for i in range(3)]
+        for tie in _three_rules(1):
+            outcome = run_vc(reported, tie, reference if tie.kind == "adversarial" else None)
+            values = [brute_force_packing(own, b) for own, b in zip(atoms, outcome.allocation.buyer_bundles)]
+            assert outcome.payments == tuple(without[i] - (sum(values) - values[i]) for i in range(3))
+        assert outcome.allocation.buyer_bundles == (0b01, 0, 0b10)
+
+    def test_run_vc_pass_visits_the_keyed_solve_states(self, monkeypatch):
+        # Work pin: on the atom sets of test_drop_one_pass_visits_the_plain_states,
+        # dealt to four buyers, run_vc's one packing memoises exactly the
+        # states of optimal_allocation's keyed solve, and no plain solve.
+        rng = random.Random(2024)
+        built = []
+        init = AtomPacking.__init__
+
+        def kept(self, atoms):
+            built.append(self)
+            init(self, atoms)
+
+        monkeypatch.setattr(AtomPacking, "__init__", kept)
+        total = 0
+        for _ in range(200):
+            m = rng.randint(20, 30)
+            atoms = [
+                (sum(1 << g for g in rng.sample(range(m), rng.randint(1, 3))), rng.randint(1, 12))
+                for _ in range(rng.randint(16, 20))
+            ]
+            universe = GoodsUniverse.of_size(m)
+            profile = Profile(universe, tuple(Valuation.from_atoms(universe, atoms[i::4]) for i in range(4)))
+            built.clear()
+            optimal_allocation(profile)
+            run_vc(profile)
+            solve, passed = built
+            assert passed._memo == {} and set(passed._drop_memo) == set(solve._memo)
+            total += len(passed._drop_memo)
+        assert total == 6_791
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -678,8 +792,7 @@ class TestSparsePayments:
     def test_payments_on_benchmark_shaped_profiles(self):
         # Profiles shaped like the benchmark's sparse auctions, with int and
         # Fraction weights: each payment against one plain packing of the
-        # other buyers' atoms, in value and, for buyers the pass solves
-        # (those valued above 0), in value type.
+        # other buyers' atoms in value, and an int exactly when integral.
         rng = random.Random(19)
         weights = [1, 2, 3, 5, 12, Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
         paying = 0
@@ -703,9 +816,9 @@ class TestSparsePayments:
                 others = [a for k, v in enumerate(profile.valuations) if k != i for a in v.atoms]
                 expected = max_packing(others, universe.full_mask) - (total - value)
                 assert outcome.payments[i] == expected
+                assert type(outcome.payments[i]) is (int if expected.denominator == 1 else Fraction)
                 if value:
                     paying += 1
-                    assert type(outcome.payments[i]) is type(expected)
         assert paying > 1000
 
     def test_no_payment_pass_without_a_paying_buyer(self, monkeypatch):
@@ -715,7 +828,7 @@ class TestSparsePayments:
         outcome = run_vc(Profile(universe, (Valuation.from_atoms(universe, []),) * 2))
         assert passes == [] and outcome.payments == (0, 0)
 
-    def test_one_packing_for_the_allocation_and_one_for_all_payments(self, monkeypatch):
+    def test_one_packing_for_the_allocation_and_all_payments(self, monkeypatch):
         universe = GoodsUniverse.of_size(4)
         profile = Profile(universe, tuple(
             unanimity_valuation(universe, mask, weight)
@@ -730,7 +843,7 @@ class TestSparsePayments:
 
         monkeypatch.setattr(AtomPacking, "__init__", counted)
         outcome = run_vc(profile)
-        assert built == [6, 6]
+        assert built == [6]
         assert outcome.allocation.buyer_bundles == (0, 0b0110, 0, 0b0001, 0b1000, 0)
         assert outcome.payments == (0, 2, 0, 0, 0, 0)
 
@@ -907,6 +1020,36 @@ class TestRunVC:
         # A payment re-solve that leaves an all-sparse profile keeps the cap.
         with pytest.raises(BudgetExceededError, match="64 atoms, got 100"):
             run_vc(Profile(universe, (dense, many)))
+
+    def test_mixed_profile_tabulates_each_sparse_valuation_once(self, monkeypatch):
+        # The allocation, the values at it and every payment re-solve read
+        # one table per sparse buyer.
+        universe = GoodsUniverse.of_size(8)
+        rng = random.Random(40)
+        dense = [unanimity_valuation(universe, mask, 4).to_dense() for mask in (0b11, 0b1100)]
+        sparse = [
+            Valuation.from_atoms(universe, [
+                (sum(1 << g for g in rng.sample(range(8), 2)), rng.randint(1, 9)) for _ in range(20)
+            ])
+            for _ in range(3)
+        ]
+        profile = Profile(universe, (*dense, *sparse))
+        tables = Profile(universe, tuple(v.to_dense() for v in profile.valuations))
+        calls = []
+        to_dense = Valuation.to_dense
+
+        def counted(self):
+            if self.atoms is not None:
+                calls.append(id(self))
+            return to_dense(self)
+
+        for tie in (TieBreak.canonical(), TieBreak.seller_favoring(), TieBreak.adversarial_to(0)):
+            expected = run_vc(tables, tie)
+            with monkeypatch.context() as patch:
+                patch.setattr(Valuation, "to_dense", counted)
+                calls.clear()
+                assert run_vc(profile, tie) == expected
+            assert sorted(calls) == sorted(map(id, sparse))
 
     @given(data=st.data())
     @settings(max_examples=40)
