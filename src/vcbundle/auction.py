@@ -223,7 +223,7 @@ def _dense_solve(profile: Profile, tie: TieBreak, reference: Profile | None):
             cost_tables = [list(map(cost, range(len(tables[0])))) for cost in costs]
         weights = _folded(tables, cost_tables)
     masks = _least_tuple(weights, _middle_options(weights))
-    return Allocation(profile.universe, tuple(masks)), sum(map(getitem, tables, masks))
+    return Allocation(profile.universe, tuple(masks)), as_value(sum(map(getitem, tables, masks)))
 
 
 def _atom_list(profile: Profile):
@@ -385,9 +385,9 @@ def max_surplus(profile: Profile) -> Value:
     """Optimal surplus over all allocations (value only, tie-break free)."""
     if profile.all_sparse:
         atoms = [atom for v in profile.valuations for atom in v.atoms]
-        return max_packing(atoms, profile.universe.full_mask)
+        return as_value(max_packing(atoms, profile.universe.full_mask))
     tables = _dense_tables(profile)
-    return _dense_rows(tables, _middle_options(tables))[0][profile.universe.full_mask]
+    return as_value(_dense_rows(tables, _middle_options(tables))[0][profile.universe.full_mask])
 
 
 def optimal_allocation(
@@ -399,7 +399,7 @@ def optimal_allocation(
     tie = tie or TieBreak.canonical()
     if profile.all_sparse:
         allocation, values, _ = _sparse_solve(profile, tie, reference)
-        return allocation, sum(values)
+        return allocation, as_value(sum(values))
     return _dense_solve(profile, tie, reference)
 
 
@@ -410,7 +410,8 @@ def _partition_surplus(profile: Profile, partition: Partition) -> tuple[Allocati
     unions = partition.unions
     tables = [tuple(map(v.value, unions)) for v in profile.valuations]
     masks = _least_tuple(tables)
-    return Allocation(profile.universe, tuple(unions[meta] for meta in masks)), sum(map(getitem, tables, masks))
+    surplus = as_value(sum(map(getitem, tables, masks)))
+    return Allocation(profile.universe, tuple(unions[meta] for meta in masks)), surplus
 
 
 def sigma_optimal_surplus(profile: Profile, family: BundleFamily) -> tuple[Allocation, Value]:
@@ -453,7 +454,7 @@ def sigma_optimal_surplus(profile: Profile, family: BundleFamily) -> tuple[Alloc
             f"family search capped at {FAMILY_SEARCH_STEPS_CAP} option steps, bound {steps}"
         )
     total, masks = _family_search(0, profile.universe.full_mask, options, {})
-    return Allocation(profile.universe, masks), total
+    return Allocation(profile.universe, masks), as_value(total)
 
 
 def _family_search(i: int, free: Bundle, options, memo) -> tuple[Value, tuple[Bundle, ...]]:
@@ -506,32 +507,6 @@ def _payment(without: Value, others_at: Value) -> Value:
     return as_value(payment)
 
 
-def _payment_at(profile: Profile, i: int, others_at: Value) -> Value:
-    rest = profile.drop(i)
-    return _payment(0 if rest is None else max_surplus(rest), others_at)
-
-
-def _values_at(profile: Profile, allocation: Allocation) -> tuple[Value, ...]:
-    """Each buyer's value for its bundle, read from the tables on the dense
-    route, which value a sparse valuation of any atom count."""
-    bundles = allocation.buyer_bundles
-    if profile.all_sparse:
-        return tuple(v.value(mask) for v, mask in zip(profile.valuations, bundles))
-    return tuple(map(getitem, _dense_tables(profile), bundles))
-
-
-def clarke_payment(
-    profile: Profile,
-    i: int,
-    tie: TieBreak | None = None,
-    reference: Profile | None = None,
-) -> Value:
-    """Externality payment of buyer i at the tie-chosen optimal allocation."""
-    allocation, _ = optimal_allocation(profile, tie, reference)
-    values = _values_at(profile, allocation)
-    return _payment_at(profile, i, sum(values) - values[i])
-
-
 def run_vc(
     reported: Profile,
     tie: TieBreak | None = None,
@@ -540,37 +515,33 @@ def run_vc(
     """Full outcome of the mechanism on the reported profile.
 
     Utilities (and the surplus field) are measured against ``true_profile``
-    when supplied, else against the reports themselves.  An all-sparse
-    profile takes its allocation and every drop-one optimum from one
-    packing pass; any other is tabulated once, and its payments re-solve
-    the profile without each buyer.
+    when supplied, else against the reports themselves.  Each of the two
+    profiles that holds a dense valuation is tabulated once; a true profile
+    is also the adversarial reference.  All-sparse reports take the
+    allocation and every drop-one optimum from one packing pass, tables
+    re-solve without each buyer, and one rule then gives every payment.
     """
     tie = tie or TieBreak.canonical()
     if true_profile is not None and (true_profile.n != reported.n or true_profile.universe != reported.universe):
         raise InvalidInputError("true profile shape mismatch")
+    reported, true_profile = (
+        p if p is None or p.all_sparse else Profile(p.universe, tuple(v.to_dense() for v in p.valuations))
+        for p in (reported, true_profile)
+    )
     reference = None
     if tie.kind == "adversarial":
-        reference = true_profile if true_profile is not None else reported
+        reference = reported if true_profile is None else true_profile
     if reported.all_sparse:
         allocation, values, without = _sparse_solve(reported, tie, reference, drop_one=True)
         reported_surplus = without.pop()
-        total = sum(values)
-        payments = tuple(_payment(best, total - value) for best, value in zip(without, values))
     else:
-        tabulated = Profile(reported.universe, tuple(v.to_dense() for v in reported.valuations))
-        if reference is reported:
-            reference = tabulated
-        allocation, reported_surplus = optimal_allocation(tabulated, tie, reference)
-        values = _values_at(tabulated, allocation)
-        total = sum(values)
-        # A re-solve that leaves only sparse buyers keeps the sparse route.
-        dense = [i for i, v in enumerate(reported.valuations) if not v.is_sparse]
-        payments = tuple(
-            _payment_at(reported if dense == [i] else tabulated, i, total - value)
-            for i, value in enumerate(values)
-        )
+        allocation, reported_surplus = optimal_allocation(reported, tie, reference)
+        values = [v.value(mask) for v, mask in zip(reported.valuations, allocation.buyer_bundles)]
+        without = [0 if (rest := reported.drop(i)) is None else max_surplus(rest) for i in range(reported.n)]
+    total = sum(values)
+    payments = tuple(_payment(best, total - value) for best, value in zip(without, values))
     if true_profile is not None:
-        values = _values_at(true_profile, allocation)
+        values = [v.value(mask) for v, mask in zip(true_profile.valuations, allocation.buyer_bundles)]
     surplus = as_value(sum(values))
     revenue = as_value(sum(payments))
     utilities = tuple(as_value(val - pay) for val, pay in zip(values, payments))
@@ -580,3 +551,15 @@ def run_vc(
         if revenue > surplus:
             raise InternalInvariantError("truthful revenue exceeded surplus")
     return AuctionOutcome(allocation, payments, surplus, revenue, utilities)
+
+
+def clarke_payment(
+    profile: Profile,
+    i: int,
+    tie: TieBreak | None = None,
+    reference: Profile | None = None,
+) -> Value:
+    """Externality payment of buyer i at the tie-chosen optimal allocation:
+    buyer i's entry of ``run_vc``'s payments."""
+    adversarial = tie is not None and tie.kind == "adversarial"
+    return run_vc(profile, tie, reference if adversarial else None).payments[i]

@@ -442,19 +442,15 @@ class AtomPacking:
     def best(self, j: int, free: Bundle) -> Value:
         return _pack(j, free, self.masks, self.weights, self._cover, self._memo)
 
-    def best_without(self, groups: Sequence[int | None], free: Bundle, slots: int | None = None) -> list[Value]:
+    def best_without(self, groups: Sequence[int | None], free: Bundle, slots: int) -> list[Value]:
         """Entry g is V(0, free) over the atoms outside group g, for each of
         ``slots`` slots; ``groups`` holds each input atom's slot or None,
         and a slot that holds no atom gets V(0, free) itself.  The pass
         visits the states of ``best(0, free)`` once each: all the drop-one
         optima of pivot payments for about the work of one solve
-        (Hershberger & Suri 2001).  ``run_vc`` always passes ``slots``;
-        the default, up to the largest slot in ``groups``, is kept only for
-        the state-count pin ``test_drop_one_pass_visits_the_plain_states``.
+        (Hershberger & Suri 2001).
         """
         self._slots = [groups[i] for i in self.order]
-        if slots is None:
-            slots = 1 + max((s for s in self._slots if s is not None), default=-1)
         self._zero = [0] * slots
         self._drop_memo = {}
         return self.without(0, free)

@@ -32,6 +32,8 @@ from .sigma import (
 )
 from .auction import max_surplus, sigma_optimal_surplus
 
+RANDOM_VALUE_MAX = 9  # largest raw table entry of random_monotone_valuation
+
 
 def deviation_gap(family: BundleFamily, profile: Profile, buyer: int) -> Value:
     """Utility a buyer forgoes by projection-reporting instead of the truth,
@@ -163,12 +165,11 @@ def singleton_profile(universe: GoodsUniverse) -> Profile:
     return unanimity_profile(universe, (1 << g for g in range(universe.m)))
 
 
-def random_monotone_valuation(
-    universe: GoodsUniverse, rng: random.Random, max_value: int = 9
-) -> Valuation:
-    """Dense valuation from random integer values, monotonized upward."""
+def random_monotone_valuation(universe: GoodsUniverse, rng: random.Random) -> Valuation:
+    """Dense valuation from random integers in [0, RANDOM_VALUE_MAX],
+    monotonized upward."""
     size = universe.full_mask + 1
-    table = [rng.randint(0, max_value) for _ in range(size)]
+    table = [rng.randint(0, RANDOM_VALUE_MAX) for _ in range(size)]
     table[0] = 0
     return Valuation(universe, table=tuple(submask_max(table)))
 

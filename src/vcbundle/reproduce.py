@@ -15,6 +15,7 @@ from .core import (
 )
 from .sigma import classify_family, enumerate_families, field_of_partition, project_profile
 from .auction import TieBreak, max_surplus, run_vc, sigma_optimal_surplus
+from .jsonio import fraction_repr
 from .equilibrium import (
     deviation_gap,
     disjoint_unanimity_profiles,
@@ -66,8 +67,7 @@ def _report(target: str, checks: list[Check]) -> dict:
 
 
 def _frac(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(fraction_repr(x))
 
 
 def _example1() -> dict:

@@ -271,7 +271,7 @@ class TestPackingKernel:
             ]
             groups = [None if i % 5 == 4 else i % 3 for i in range(len(atoms))]
             packing = AtomPacking(atoms)
-            optima = packing.best_without(groups, (1 << m) - 1)
+            optima = packing.best_without(groups, (1 << m) - 1, 3)
             total += len(packing._drop_memo)
             assert optima == [
                 AtomPacking([a for a, g in zip(atoms, groups) if g != slot]).best(0, (1 << m) - 1)
@@ -692,17 +692,26 @@ class TestSparsePayments:
             assert run_vc(reported, tie, true).allocation == optimal_allocation(reported, tie, reference)[0]
 
     @given(case=sparse_auctions(), dense=st.booleans())
+    @example(case=(_atom_profile(GoodsUniverse.of_size(2), [(1, Fraction(1, 2))], [(2, Fraction(1, 2))]), None, 0),
+             dense=True)
     @settings(max_examples=150)
     def test_outcome_values_are_int_exactly_when_integral(self, case, dense):
         # On the sparse routes (keyed and walk) and, with the reports as
-        # tables, on the dense route.
+        # tables, on the dense route; the solvers' surpluses too, with the
+        # partition route on the full family and the family route on
+        # {a, all goods}.
         reported, true, buyer = case
         if dense:
             reported = Profile(reported.universe, tuple(v.to_dense() for v in reported.valuations))
+        universe = reported.universe
+        families = (BundleFamily.full(universe), BundleFamily.of(universe, [1, universe.full_mask]))
+        values = [max_surplus(reported), *(sigma_optimal_surplus(reported, f)[1] for f in families)]
         for tie in _three_rules(buyer):
             outcome = run_vc(reported, tie, true)
-            for x in (*outcome.payments, *outcome.utilities, outcome.surplus, outcome.revenue):
-                assert type(x) is (int if x.denominator == 1 else Fraction)
+            values += [*outcome.payments, *outcome.utilities, outcome.surplus, outcome.revenue]
+            values.append(optimal_allocation(reported, tie, true or reported)[1])
+        for x in values:
+            assert type(x) is (int if x.denominator == 1 else Fraction)
 
     def test_keyed_pass_under_a_reference_that_is_not_monotone(self):
         # Reference tables worth more on the empty bundle than on an atom
@@ -966,6 +975,56 @@ class TestPayments:
     def test_single_buyer_pays_nothing(self, u4):
         assert clarke_payment(Profile(u4, (w(u4, "abcd", 9),)), 0) == 0
 
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "mixed"])
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_clarke_payment_matches_brute_force_optima(self, kind, data):
+        # The others' brute-force optimum without buyer i, minus their value
+        # at the optimum the tie rule picks among all brute-force optima.
+        # A mixed profile has a dense buyer 0 and a sparse buyer 1.
+        universe = GoodsUniverse.of_size(data.draw(st.integers(1, 3)))
+        n = data.draw(st.integers(2 if kind == "mixed" else 1, 3))
+
+        def draw_profile():
+            kinds = [kind == "dense"] * n
+            if kind == "mixed":
+                kinds = [True, False, *data.draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2))]
+            return Profile(universe, tuple(
+                data.draw(dense_valuations(universe) if dense else sparse_valuations(universe)) for dense in kinds
+            ))
+
+        profile = draw_profile()
+        reference = draw_profile()
+        _, optima = brute_force_optima(profile)
+
+        def surplus_of(prof, masks):
+            return sum((v.value(b) for v, b in zip(prof.valuations, masks)), Fraction(0))
+
+        picks = {
+            "canonical": min(optima),
+            "seller": min(optima, key=lambda masks: (bin(sum(masks)).count("1"), masks)),
+            "adversarial": min(optima, key=lambda masks: (surplus_of(reference, masks), masks)),
+        }
+        for i in range(n):
+            rest = profile.drop(i)
+            without = 0 if rest is None else brute_force_optima(rest)[0]
+
+            def expected(masks):
+                return without - (surplus_of(profile, masks) - profile.valuations[i].value(masks[i]))
+
+            for tie in _three_rules(i):
+                assert clarke_payment(profile, i, tie, reference) == expected(picks[tie.kind])
+            # Without a reference, adversarial measures the reports, which
+            # are worth the same at every optimum.
+            assert clarke_payment(profile, i, TieBreak.adversarial_to(i)) == expected(picks["canonical"])
+
+    def test_clarke_payment_reference_shape_is_checked(self, u2):
+        profile = Profile(u2, (w(u2, "a"), w(u2, "b")))
+        u3 = GoodsUniverse.of_size(3)
+        for reference in (Profile(u2, (w(u2, "a"),)), Profile(u3, (w(u3, "a"), w(u3, "b")))):
+            with pytest.raises(InvalidInputError, match="^true profile shape mismatch$"):
+                clarke_payment(profile, 0, TieBreak.adversarial_to(0), reference)
+
 
 class TestRunVC:
     def test_truthful_outcome(self, u2):
@@ -1004,22 +1063,42 @@ class TestRunVC:
 
     @pytest.mark.parametrize("dense_weight", [0, 30])
     def test_mixed_profile_past_the_atom_cap_values_from_tables(self, dense_weight):
-        # A buyer of 100 overlapping atoms beside two dense buyers: more
-        # atoms than one packing may hold, on a profile the dense route
-        # solves, so its outcome is that of the same profile as tables.
+        # A buyer of 100 overlapping atoms beside one or two dense buyers:
+        # more atoms than one packing may hold, on profiles the dense route
+        # solves, so each outcome is that of the same profile as tables,
+        # the payment re-solve without the only dense buyer included.
         universe = GoodsUniverse.of_size(10)
         rng = random.Random(7)
         many = Valuation.from_atoms(universe, [
             (sum(1 << g for g in rng.sample(range(10), 2)), rng.randint(1, 9)) for _ in range(100)
         ])
         dense = unanimity_valuation(universe, 0b11, dense_weight).to_dense()
-        profile = Profile(universe, (dense, dense, many))
-        outcome = run_vc(profile)
-        assert outcome == run_vc(Profile(universe, (dense, dense, many.to_dense())))
-        assert (sum(outcome.payments) > 0) == (dense_weight > 0)
-        # A payment re-solve that leaves an all-sparse profile keeps the cap.
+        for others in ((dense, dense), (dense,)):
+            tables = Profile(universe, (*others, many.to_dense()))
+            for tie in _three_rules(0):
+                outcome = run_vc(Profile(universe, (*others, many)), tie)
+                assert outcome == run_vc(tables, tie)
+                assert (sum(outcome.payments) > 0) == (dense_weight > 0)
+        # An all-sparse profile keeps the cap.
         with pytest.raises(BudgetExceededError, match="64 atoms, got 100"):
-            run_vc(Profile(universe, (dense, many)))
+            run_vc(Profile(universe, (many,)))
+
+    def test_one_dense_buyer_beside_sparse_buyers_past_the_atom_cap(self):
+        # 80 atoms across four sparse buyers: the re-solve without the
+        # dense buyer runs on tables, as every solve of the profile does.
+        universe = GoodsUniverse.of_size(12)
+        rng = random.Random(12)
+        sparse = [
+            Valuation.from_atoms(universe, [
+                (sum(1 << g for g in rng.sample(range(12), rng.randint(1, 3))), rng.randint(1, 9))
+                for _ in range(20)
+            ])
+            for _ in range(4)
+        ]
+        profile = Profile(universe, (unanimity_valuation(universe, 0b111, 12).to_dense(), *sparse))
+        tables = Profile(universe, tuple(v.to_dense() for v in profile.valuations))
+        for tie in _three_rules(0):
+            assert run_vc(profile, tie) == run_vc(tables, tie)
 
     def test_mixed_profile_tabulates_each_sparse_valuation_once(self, monkeypatch):
         # The allocation, the values at it and every payment re-solve read
@@ -1043,12 +1122,33 @@ class TestRunVC:
                 calls.append(id(self))
             return to_dense(self)
 
-        for tie in (TieBreak.canonical(), TieBreak.seller_favoring(), TieBreak.adversarial_to(0)):
+        for tie in _three_rules(0):
             expected = run_vc(tables, tie)
             with monkeypatch.context() as patch:
                 patch.setattr(Valuation, "to_dense", counted)
                 calls.clear()
                 assert run_vc(profile, tie) == expected
+            assert sorted(calls) == sorted(map(id, sparse))
+        # A true profile with a dense valuation is tabulated once as well,
+        # and the same tables are the adversarial reference.
+        universe = GoodsUniverse.of_size(10)
+        reports = Profile(universe, tuple(
+            unanimity_valuation(universe, mask, 5).to_dense() for mask in (0b11, 0b110, 0b1100)
+        ))
+        sparse = [
+            Valuation.from_atoms(universe, [
+                (sum(1 << g for g in rng.sample(range(10), 2)), rng.randint(1, 9)) for _ in range(12)
+            ])
+            for _ in range(2)
+        ]
+        truth = Profile(universe, (unanimity_valuation(universe, 0b111, 6).to_dense(), *sparse))
+        truth_tables = Profile(universe, tuple(v.to_dense() for v in truth.valuations))
+        for tie in _three_rules(0):
+            expected = run_vc(reports, tie, truth_tables)
+            with monkeypatch.context() as patch:
+                patch.setattr(Valuation, "to_dense", counted)
+                calls.clear()
+                assert run_vc(reports, tie, truth) == expected
             assert sorted(calls) == sorted(map(id, sparse))
 
     @given(data=st.data())

@@ -227,14 +227,11 @@ class TestDeterminismAndGoldens:
 
 class TestBudgetExits:
     def test_atom_budget_exits_2_without_traceback(self, tmp_path):
-        # The payment re-solve without the dense buyer packs 1200 atoms;
+        # One all-sparse buyer of 1200 atoms is one packing of 1200 atoms;
         # uncapped, that recursion overflowed the interpreter stack.
         goods = [chr(ord("a") + i) for i in range(10)]
         atoms = [{"bundle": goods[i % 10], "weight": 1} for i in range(1200)]
-        doc = {
-            "goods": goods,
-            "valuations": [{"kind": "dense", "values": {}}, {"kind": "atoms", "atoms": atoms}],
-        }
+        doc = {"goods": goods, "valuations": [{"kind": "atoms", "atoms": atoms}]}
         path = tmp_path / "many-atoms.json"
         path.write_text(json.dumps(doc))
         proc = cli("auction", "--instance", str(path))
@@ -244,7 +241,8 @@ class TestBudgetExits:
 
     def test_mixed_profile_past_the_atom_cap_exits_0(self, tmp_path):
         # The dense route values the awarded bundles from tables, so a buyer
-        # of 100 overlapping atoms beside dense buyers needs no packing.
+        # of 100 overlapping atoms beside dense buyers needs no packing, nor
+        # does a buyer of 1200 atoms beside one dense buyer.
         goods = [chr(ord("a") + i) for i in range(10)]
         rng = random.Random(7)
         atoms = [(sum(1 << g for g in rng.sample(range(10), 2)), rng.randint(1, 9)) for _ in range(100)]
@@ -261,6 +259,16 @@ class TestBudgetExits:
             Valuation.dense(universe, [0] * 1024),
             Valuation.dense(universe, [0] * 1024),
             Valuation.from_atoms(universe, atoms).to_dense(),
+        ))
+        assert json.loads(proc.stdout) == jsonio.outcome_payload(run_vc(tables))
+        atoms = [{"bundle": goods[i % 10], "weight": 1} for i in range(1200)]
+        path = tmp_path / "one-dense-many-atoms.json"
+        path.write_text(json.dumps({"goods": goods, "valuations": [zero, {"kind": "atoms", "atoms": atoms}]}))
+        proc = cli("auction", "--instance", str(path))
+        assert proc.returncode == 0, proc.stderr
+        tables = Profile(universe, (
+            Valuation.dense(universe, [0] * 1024),
+            Valuation.from_atoms(universe, [(1 << (i % 10), 1) for i in range(1200)]).to_dense(),
         ))
         assert json.loads(proc.stdout) == jsonio.outcome_payload(run_vc(tables))
 
