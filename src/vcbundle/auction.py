@@ -90,8 +90,11 @@ def _tie_costs(profile: Profile, tie: TieBreak, reference: Profile | None):
     return [v.value for v in reference.valuations]
 
 
-def _dense_tables(profile: Profile) -> list:
-    return [v.to_dense().table for v in profile.valuations]
+def _dense_tables(profile: Profile) -> tuple[list, tuple | None]:
+    """Per-buyer tables, and the last buyer's table again when it is
+    monotone: it is then its own submask maximum, the DP's last row."""
+    dense = [v.to_dense() for v in profile.valuations]
+    return [v.table for v in dense], dense[-1].table if dense[-1]._monotone else None
 
 
 def _strict_options(vals):
@@ -124,15 +127,15 @@ def _strict_options(vals):
     return options
 
 
-def _dense_rows(tables, options=None):
+def _dense_rows(tables, options=None, last=None):
     """Subset DP over (buyer suffix, goods subset) (Rothkopf, Pekec & Harstad
     1998) on per-buyer tables indexed by bundle mask: ``rows[i][S]`` is the
     best buyers i.. achieve on goods S.
 
     Only the middle rows take more than O(m * 2^m) steps.  The last buyer's
-    row is a submask maximum (m * 2^m steps), and row 0 is needed at the
-    full goods set only (2^m steps), so it is the one-entry mapping
-    ``{full: best}``.
+    row is a submask maximum (m * 2^m steps) unless the caller passes it as
+    ``last``, and row 0 is needed at the full goods set only (2^m steps),
+    so it is the one-entry mapping ``{full: best}``.
     ``options`` holds one ``_strict_options`` result per middle buyer, in
     buyer order: with a list, the middle row pushes each listed bundle T
     into every S = T | U for U inside the goods outside T; with None (or no
@@ -143,7 +146,7 @@ def _dense_rows(tables, options=None):
     full = size - 1
     rows = [[0] * size]
     if len(tables) > 1:
-        rows.insert(0, submask_max(tables[-1]))
+        rows.insert(0, submask_max(tables[-1]) if last is None else last)
     options = options or [None] * (len(tables) - 2)
     for vals, opts in zip(tables[-2:0:-1], options[::-1]):
         nxt = rows[0]
@@ -192,11 +195,11 @@ def _folded(tables, cost_tables):
     return [[(v * dk).numerator - (c * d).numerator for v, c in zip(t, ct)] for t, ct in zip(tables, cost_tables)]
 
 
-def _least_tuple(tables, options=None) -> list[Bundle]:
+def _least_tuple(tables, options=None, last=None) -> list[Bundle]:
     """The least bundle tuple that maximises the sum of the per-buyer
     tables: per buyer in order, the smallest bundle preserving the optimum
-    of ``_dense_rows`` (which ``options`` is passed to)."""
-    rows = _dense_rows(tables, options)
+    of ``_dense_rows`` (which ``options`` and ``last`` are passed to)."""
+    rows = _dense_rows(tables, options, last)
     masks = []
     s = len(tables[0]) - 1
     for vals, target_row, nxt in zip(tables, rows, rows[1:]):
@@ -213,16 +216,16 @@ def _least_tuple(tables, options=None) -> list[Bundle]:
 
 def _dense_solve(profile: Profile, tie: TieBreak, reference: Profile | None):
     costs = _tie_costs(profile, tie, reference)
-    tables = _dense_tables(profile)
+    tables, last = _dense_tables(profile)
     weights = tables
     if costs is not None:
         # A reference profile is tabulated whole, one pass per buyer.
         if tie.kind == "adversarial":
-            cost_tables = _dense_tables(reference)
+            cost_tables = [v.to_dense().table for v in reference.valuations]
         else:
             cost_tables = [list(map(cost, range(len(tables[0])))) for cost in costs]
-        weights = _folded(tables, cost_tables)
-    masks = _least_tuple(weights, _middle_options(weights))
+        weights, last = _folded(tables, cost_tables), None  # folded weights are swept
+    masks = _least_tuple(weights, _middle_options(weights), last)
     return Allocation(profile.universe, tuple(masks)), as_value(sum(map(getitem, tables, masks)))
 
 
@@ -299,7 +302,7 @@ def _sparse_solve(profile: Profile, tie: TieBreak, reference: Profile | None, dr
     without = [0] * (n + 1)  # every optimum of a profile with no atom
     if drop_one and atoms:
         without = list(map(plain, packing.best_without([i for i, _, _ in atoms], full, n + 1)))
-        optimum = lambda j, free: packing.without(j, free)[n]
+        optimum = packing.without
     need = optimum(0, full)
     if walk:
         buyers = [atoms[k][0] for k in packing.order]
@@ -386,8 +389,8 @@ def max_surplus(profile: Profile) -> Value:
     if profile.all_sparse:
         atoms = [atom for v in profile.valuations for atom in v.atoms]
         return as_value(max_packing(atoms, profile.universe.full_mask))
-    tables = _dense_tables(profile)
-    return as_value(_dense_rows(tables, _middle_options(tables))[0][profile.universe.full_mask])
+    tables, last = _dense_tables(profile)
+    return as_value(_dense_rows(tables, _middle_options(tables), last)[0][profile.universe.full_mask])
 
 
 def optimal_allocation(
@@ -516,22 +519,24 @@ def run_vc(
 
     Utilities (and the surplus field) are measured against ``true_profile``
     when supplied, else against the reports themselves.  Each of the two
-    profiles that holds a dense valuation is tabulated once; a true profile
-    is also the adversarial reference.  All-sparse reports take the
+    profiles that holds a dense valuation is tabulated once, and so is a
+    true profile beside tabulated reports; a true profile is also the
+    adversarial reference.  All-sparse reports take the
     allocation and every drop-one optimum from one packing pass, tables
     re-solve without each buyer, and one rule then gives every payment.
     """
     tie = tie or TieBreak.canonical()
     if true_profile is not None and (true_profile.n != reported.n or true_profile.universe != reported.universe):
         raise InvalidInputError("true profile shape mismatch")
+    sparse = reported.all_sparse
     reported, true_profile = (
-        p if p is None or p.all_sparse else Profile(p.universe, tuple(v.to_dense() for v in p.valuations))
+        p if p is None or sparse and p.all_sparse else Profile(p.universe, tuple(v.to_dense() for v in p.valuations))
         for p in (reported, true_profile)
     )
     reference = None
     if tie.kind == "adversarial":
         reference = reported if true_profile is None else true_profile
-    if reported.all_sparse:
+    if sparse:
         allocation, values, without = _sparse_solve(reported, tie, reference, drop_one=True)
         reported_surplus = without.pop()
     else:

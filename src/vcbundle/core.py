@@ -388,6 +388,27 @@ class Valuation:
             return any(v != 0 for v in self.table)
         return bool(self.atoms)
 
+    @cached_property
+    def _monotone(self) -> bool:
+        """Whether v(B) <= v(C) whenever B is inside C, checked once along
+        single-bit extensions, which implies it on all chains: each bit's
+        (without, with) entries are compared as slices, strided or
+        contiguous, whichever are fewer.  Atom valuations are monotone."""
+        table = self.table
+        if table is None:
+            return True
+        size = len(table)
+        for i in range(self.universe.m):
+            bit = 1 << i
+            step = bit << 1
+            if bit <= size // step:
+                pairs = ((table[r::step], table[r + bit :: step]) for r in range(bit))
+            else:
+                pairs = ((table[s : s + bit], table[s + bit : s + step]) for s in range(0, size, step))
+            if any(any(map(gt, lo, hi)) for lo, hi in pairs):
+                return False
+        return True
+
 
 class AtomPacking:
     """Exact max-weight packing of (mask, weight) atoms.
@@ -405,11 +426,11 @@ class AtomPacking:
     deeper per atom, so the atom count is capped at ``SPARSE_ATOMS_CAP``.
 
     ``best_without`` runs the same recursion once for many drop-one optima,
-    keeping one value per slot at each state; its memo stays in
-    ``_drop_memo`` until the next such pass, and ``without`` reads it.
+    keeping V and the slots that lose at each state; its memo stays in
+    ``_drop_memo`` until the next such pass, and ``without`` reads V from it.
     """
 
-    __slots__ = ("order", "masks", "weights", "_cover", "_memo", "_slots", "_zero", "_drop_memo")
+    __slots__ = ("order", "masks", "weights", "_cover", "_memo", "_slots", "_drop_memo")
 
     def __init__(self, atoms: Sequence[tuple[Bundle, Value]]) -> None:
         if len(atoms) > SPARSE_ATOMS_CAP:
@@ -451,16 +472,13 @@ class AtomPacking:
         (Hershberger & Suri 2001).
         """
         self._slots = [groups[i] for i in self.order]
-        self._zero = [0] * slots
         self._drop_memo = {}
-        return self.without(0, free)
+        best, losses = _pack_without(0, free, self.masks, self.weights, self._slots, self._cover, self._drop_memo)
+        return [losses.get(g, best) for g in range(slots)]
 
-    def without(self, j: int, free: Bundle) -> list[Value]:
-        """The slot entries of the last ``best_without`` pass at state
-        (j, free), each over atoms j.. only."""
-        return _pack_without(
-            j, free, self.masks, self.weights, self._slots, self._cover, self._drop_memo, self._zero
-        )
+    def without(self, j: int, free: Bundle) -> Value:
+        """V(j, free), read from the last ``best_without`` pass."""
+        return _pack_without(j, free, self.masks, self.weights, self._slots, self._cover, self._drop_memo)[0]
 
 
 def _pack(j: int, free: Bundle, masks, weights, cover, memo) -> Value:
@@ -484,29 +502,46 @@ def _pack(j: int, free: Bundle, masks, weights, cover, memo) -> Value:
     return best
 
 
-def _pack_without(j: int, free: Bundle, masks, weights, slots, cover, memo, zero) -> list[Value]:
-    # ``_pack`` with one value per slot: taking atom j raises every entry
-    # but its own slot's, and a tie keeps the skip value as ``_pack`` does.
+_NO_LOSSES = (0, {})  # a state with no atom; its mapping is never written
+
+
+def _pack_without(j: int, free: Bundle, masks, weights, slots, cover, memo) -> tuple[Value, dict]:
+    # ``_pack`` with each state's drop-one optima as (V, losses): losses maps
+    # each slot worth less than V; the others are worth V.  Taking atom j
+    # raises every entry but its own slot's, and a tie keeps the skip value
+    # as ``_pack`` does, so only j's slot and the chosen branch's losers lose.
     while True:
         free &= cover[j]
         if not free:
-            return zero
+            return _NO_LOSSES
         atom = masks[j]
         if atom & free == atom:
             break
         j += 1
     key = (j, free)
-    best = memo.get(key)
-    if best is None:
-        skip = _pack_without(j + 1, free, masks, weights, slots, cover, memo, zero)
-        take = _pack_without(j + 1, free ^ atom, masks, weights, slots, cover, memo, zero)
+    got = memo.get(key)
+    if got is None:
+        skip, skip_losses = _pack_without(j + 1, free, masks, weights, slots, cover, memo)
+        take, take_losses = _pack_without(j + 1, free ^ atom, masks, weights, slots, cover, memo)
         weight = weights[j]
-        best = [cand if (cand := weight + t) > s else s for s, t in zip(skip, take)]
         slot = slots[j]
-        if slot is not None:
-            best[slot] = skip[slot]
-        memo[key] = best
-    return best
+        losses = {}
+        if (taken := weight + take) > skip:
+            best = taken
+            for g, t in take_losses.items():
+                s = skip_losses.get(g, skip)
+                losses[g] = cand if (cand := weight + t) > s else s
+            if slot is not None:
+                losses[slot] = skip_losses.get(slot, skip)
+        else:
+            best = skip
+            for g, s in skip_losses.items():
+                if g != slot and (cand := weight + take_losses.get(g, take)) > s:
+                    s = cand
+                if s < best:
+                    losses[g] = s
+        memo[key] = got = best, losses
+    return got
 
 
 def max_packing(atoms: Sequence[tuple[Bundle, Value]], free: Bundle) -> Value:
@@ -558,32 +593,20 @@ def validate_valuation(v: Valuation) -> ValuationReport:
     table = v.table
     if table[0] != 0:
         return ValuationReport(False, "normalization: v(empty) != 0", (0, 0))
-    for mask, val in enumerate(table):
-        if val < 0:
-            return ValuationReport(False, "negative value", (mask, mask))
-    # Monotonicity along single-bit extensions implies it on all chains.  Each
-    # bit's (without, with) entries are compared as slices, strided or
-    # contiguous, whichever are fewer; only a violation pays for the scan
-    # that finds the first witness in bitmask order.
-    size = len(table)
-    for i in range(v.universe.m):
-        bit = 1 << i
-        step = bit << 1
-        if bit <= size // step:
-            pairs = ((table[r::step], table[r + bit :: step]) for r in range(bit))
-        else:
-            pairs = ((table[s : s + bit], table[s + bit : s + step]) for s in range(0, size, step))
-        if any(any(map(gt, lo, hi)) for lo, hi in pairs):
-            break
-    else:
+    if min(table) < 0:
+        for mask, val in enumerate(table):
+            if val < 0:
+                return ValuationReport(False, "negative value", (mask, mask))
+    if v._monotone:
         return _VALID
-    for mask in range(size):
+    # Only a violation pays for the scan that finds its first witness.
+    for mask in range(len(table)):
         for i in range(v.universe.m):
             if not mask & (1 << i):
                 sup = mask | (1 << i)
                 if table[mask] > table[sup]:
                     return ValuationReport(False, "monotonicity violated", (mask, sup))
-    return _VALID
+    raise InternalInvariantError("a table that is not monotone has no witness")
 
 
 @dataclass(frozen=True)

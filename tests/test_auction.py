@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -26,8 +27,8 @@ from vcbundle import (
     unanimity_profile,
     unanimity_valuation,
 )
-from vcbundle import auction
-from vcbundle.core import AtomPacking, max_packing
+from vcbundle import auction, jsonio
+from vcbundle.core import AtomPacking, max_packing, submask_max
 from conftest import (
     brute_force_least_sigma_tuple,
     brute_force_optima,
@@ -262,6 +263,7 @@ class TestPackingKernel:
         # exactly the states of one plain solve, and each entry is the
         # plain optimum of the atoms outside its slot.
         rng = random.Random(2024)
+        layout = random.Random(23)
         total = 0
         for _ in range(200):
             m = rng.randint(20, 30)
@@ -277,6 +279,19 @@ class TestPackingKernel:
                 AtomPacking([a for a, g in zip(atoms, groups) if g != slot]).best(0, (1 << m) - 1)
                 for slot in range(3)
             ]
+            # The same atoms over 4-10 buyers' slots plus one that holds no
+            # atom: each state keeps only the slots that lose, and
+            # ``without`` reads V itself.
+            slots = layout.randint(4, 10)
+            groups = [layout.randrange(slots) for _ in atoms]
+            packing = AtomPacking(atoms)
+            optima = packing.best_without(groups, (1 << m) - 1, slots + 1)
+            assert optima == [
+                AtomPacking([a for a, g in zip(atoms, groups) if g != slot]).best(0, (1 << m) - 1)
+                for slot in range(slots + 1)
+            ]
+            assert packing.without(0, (1 << m) - 1) == optima[slots]
+            assert all(loss < best for best, losses in packing._drop_memo.values() for loss in losses.values())
         assert total == 6_791
 
     def test_sparse_solves_leave_no_cyclic_garbage(self):
@@ -633,6 +648,82 @@ class TestStrictRows:
             for i in range(n):
                 others_at = surplus_of(profile, chosen) - profile.valuations[i].value(chosen[i])
                 assert outcome.payments[i] == without[i] - others_at
+
+
+def _dense_doc(labels: str, tables) -> dict:
+    return {"goods": list(labels), "valuations": [
+        {"kind": "dense", "values": {
+            "".join(lab for g, lab in enumerate(labels) if s >> g & 1): v for s, v in enumerate(t) if s
+        }}
+        for t in tables
+    ]}
+
+
+class TestMonotoneLastRow:
+    """A monotone last table is its own submask maximum, so the dense DP
+    takes it as its last row; folded weights, meta tables and tables not
+    known to be monotone are swept."""
+
+    def test_only_tables_not_known_monotone_are_swept(self, monkeypatch):
+        rng = random.Random(3)
+        tables = [submask_max([0] + [rng.randint(0, 9) for _ in range(31)]) for _ in range(3)]
+        profile = jsonio.parse_instance(_dense_doc("abcde", tables))
+        sweep = auction.submask_max
+        swept = []
+
+        def counted(vals):
+            swept.append(len(vals))
+            return sweep(vals)
+
+        monkeypatch.setattr(auction, "submask_max", counted)
+        run_vc(profile)  # the allocation and three payment re-solves
+        assert swept == []
+        for tie in (TieBreak.seller_favoring(), TieBreak.adversarial_to(0)):
+            swept.clear()
+            run_vc(profile, tie, profile if tie.kind == "adversarial" else None)
+            assert swept == [32]  # the folded weights of the allocation solve
+        # An API-built last table that is not monotone is swept in the
+        # allocation solve and in the two re-solves that keep it last.
+        raw = Valuation(profile.universe, table=(*tables[2][:-1], 0))
+        swept.clear()
+        outcome = run_vc(Profile(profile.universe, (*profile.valuations[:2], raw)))
+        assert swept == [32] * 3
+        monkeypatch.undo()
+        best, _ = brute_force_optima(Profile(profile.universe, (*profile.valuations[:2], raw)))
+        assert outcome.surplus == best
+
+    @given(data=st.data())
+    @settings(max_examples=80)
+    def test_monotone_shortcut_rows_equal_the_swept_rows(self, data):
+        m = data.draw(st.integers(1, 5))
+        universe = GoodsUniverse.of_size(m)
+        tables = [data.draw(dense_valuations(universe)).table for _ in range(data.draw(st.integers(2, 5)))]
+        options = auction._middle_options(tables)
+        rows = auction._dense_rows(tables, options, tables[-1])
+        assert [rows[0], *map(list, rows[1:])] == auction._dense_rows(tables, options)
+        # The cached check holds exactly for tables equal to their sweep.
+        raw = data.draw(raw_tables(universe))
+        assert raw._monotone == (submask_max(raw.table) == list(raw.table))
+        assert Valuation(universe, table=tables[-1])._monotone
+
+
+def _fold_as_documented(tables, cost_tables):
+    d = math.lcm(*(Fraction(x).denominator for t in (*tables, *cost_tables) for x in t))
+    k = 1 + sum((max(c) - min(c)) * d for c in cost_tables)
+    return [[int(v * d * k - c * d) for v, c in zip(t, ct)] for t, ct in zip(tables, cost_tables)]
+
+
+@pytest.mark.parametrize("kind", ["int", "fractional", "mixed"])
+def test_folded_weights_are_the_documented_ints(kind):
+    rng = random.Random(8)
+    values = _WEIGHT_KINDS[kind]
+    for _ in range(50):
+        size = 1 << rng.randint(1, 4)
+        tables = [[0] + [rng.choice(values) for _ in range(size - 1)] for _ in range(rng.randint(1, 3))]
+        costs = [[rng.choice(values) - rng.choice(values) for _ in range(size)] for _ in tables]
+        folded = auction._folded(tables, costs)
+        assert folded == _fold_as_documented(tables, costs)
+        assert all(type(x) is int for row in folded for x in row)
 
 
 _WEIGHT_KINDS = {
@@ -1099,6 +1190,22 @@ class TestRunVC:
         tables = Profile(universe, tuple(v.to_dense() for v in profile.valuations))
         for tie in _three_rules(0):
             assert run_vc(profile, tie) == run_vc(tables, tie)
+
+    def test_all_sparse_truth_past_the_atom_cap_values_from_tables(self):
+        # Reports projected onto a family are tables, so the true profile is
+        # tabulated as well, even with no dense valuation: its buyer of 100
+        # overlapping atoms is valued as the same truth given as tables.
+        universe = GoodsUniverse.of_size(10)
+        rng = random.Random(7)
+        many = Valuation.from_atoms(universe, [
+            (sum(1 << g for g in rng.sample(range(10), 2)), rng.randint(1, 9)) for _ in range(100)
+        ])
+        truth = Profile(universe, (Valuation.from_atoms(universe, []), many))
+        reports = project_profile(truth, BundleFamily.of(universe, [universe.full_mask, 0b11111, 0b1111100000]))
+        assert not reports.all_sparse
+        tables = Profile(universe, tuple(v.to_dense() for v in truth.valuations))
+        for tie in _three_rules(1):
+            assert run_vc(reports, tie, truth) == run_vc(reports, tie, tables)
 
     def test_mixed_profile_tabulates_each_sparse_valuation_once(self, monkeypatch):
         # The allocation, the values at it and every payment re-solve read

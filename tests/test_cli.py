@@ -10,7 +10,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vcbundle import BudgetExceededError, GoodsUniverse, InvalidInputError, Profile, Valuation, jsonio, run_vc
+from vcbundle import (
+    BudgetExceededError, GoodsUniverse, InvalidInputError, Profile, Valuation, jsonio, project_profile, run_vc,
+)
 from vcbundle.cli import main as cli_main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -271,6 +273,27 @@ class TestBudgetExits:
             Valuation.from_atoms(universe, [(1 << (i % 10), 1) for i in range(1200)]).to_dense(),
         ))
         assert json.loads(proc.stdout) == jsonio.outcome_payload(run_vc(tables))
+
+    def test_all_sparse_truth_past_the_atom_cap_exits_0(self, tmp_path):
+        # Reports projected onto the family are tables, so the all-sparse
+        # truth, with a buyer of 100 overlapping atoms, is valued from tables.
+        goods = [chr(ord("a") + i) for i in range(10)]
+        rng = random.Random(7)
+        atoms = [(sum(1 << g for g in rng.sample(range(10), 2)), rng.randint(1, 9)) for _ in range(100)]
+        many = {"kind": "atoms", "atoms": [
+            {"bundle": "".join(goods[g] for g in range(10) if mask >> g & 1), "weight": w} for mask, w in atoms
+        ]}
+        instance = tmp_path / "sparse-truth.json"
+        instance.write_text(json.dumps({"goods": goods, "valuations": [{"kind": "atoms", "atoms": []}, many]}))
+        family = tmp_path / "halves.json"
+        family.write_text(json.dumps({"goods": goods, "bundles": ["abcdefghij", "abcde", "fghij"]}))
+        proc = cli("auction", "--instance", str(instance), "--family", str(family))
+        assert proc.returncode == 0, proc.stderr
+        assert b"Traceback" not in proc.stderr
+        universe = GoodsUniverse(tuple(goods))
+        truth = Profile(universe, (Valuation.dense(universe, [0] * 1024), Valuation.from_atoms(universe, atoms).to_dense()))
+        reports = project_profile(truth, jsonio.parse_family(json.loads(family.read_text())))
+        assert json.loads(proc.stdout) == jsonio.outcome_payload(run_vc(reports, true_profile=truth))
 
     def test_adversarial_tie_walk_budget_exits_2_without_traceback(self, tmp_path):
         # Two buyers each hold a unit atom on every one of 32 goods: 2^32

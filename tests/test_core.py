@@ -14,6 +14,7 @@ from vcbundle import (
     Partition,
     Profile,
     Valuation,
+    max_surplus,
     partition_from_sizes,
     project_valuation,
     unanimity_valuation,
@@ -316,6 +317,19 @@ class TestValidation:
                 if not mask & (1 << i):
                     assert v.value(mask) <= v.value(mask | (1 << i))
 
+    def test_validating_twice_around_a_dense_solve(self, u4):
+        # The monotonicity check is kept with the valuation: a dense solve
+        # reads it in between, and the second report equals the first.
+        counts = Valuation.dense(u4, [bin(s).count("1") for s in range(16)])
+        dip = Valuation.dense(u4, [0, 2, 1, 1, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4])
+        for v, expected in ((counts, (True, "", None)), (dip, (False, "monotonicity violated", (1, 3)))):
+            reports = []
+            for _ in range(2):
+                report = validate_valuation(v)
+                reports.append((report.ok, report.reason, report.witness))
+                surplus = max_surplus(Profile(u4, (counts, v)))
+                assert surplus == max(counts.value(s) + v.value(15 ^ s) for s in range(16))
+            assert reports == [expected, expected]
 
     @given(data=st.data())
     @settings(max_examples=200)
