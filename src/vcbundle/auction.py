@@ -45,8 +45,11 @@ class TieBreak:
     * canonical: lexicographically smallest (buyer_1, ..., buyer_n) bundle
       tuple; surplus-irrelevant goods stay with the seller.
     * seller: first maximize the goods the seller retains, then canonical.
-    * adversarial(i): first minimize the surplus of a reference profile
-      (the analysis passes buyer i's true-valuation profile), then canonical.
+    * adversarial(i): first minimize the surplus of a reference profile,
+      then canonical.  The index i does not enter the rule; the CLI only
+      checks that it names a buyer.  Without a true profile the reference
+      is the reports themselves, whose surplus is the optimum at every
+      surplus-optimal allocation, so the outcome is the canonical one.
     """
 
     kind: str = "canonical"

@@ -138,18 +138,31 @@ class GoodsUniverse:
     decodable: no string is spelled by two different label sequences."""
 
     labels: tuple[str, ...]
+    # Filled by the one validation pass below; outside ==, hash and repr.
+    full_mask: int = field(init=False, repr=False, compare=False)
+    _bits: dict[str, int] = field(init=False, repr=False, compare=False)
+    _label_lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.labels) < 1:
+        labels = self.labels
+        m = len(labels)
+        if m < 1:
             raise InvalidInputError("universe needs at least one good")
-        if len(set(self.labels)) != len(self.labels):
+        bits = {lab: 1 << i for i, lab in enumerate(labels)}
+        if len(bits) != m:
             raise InvalidInputError("good labels must be distinct")
-        if any(not lab for lab in self.labels):
-            raise InvalidInputError("good labels must be nonempty strings")
-        if len(self._label_lengths) > 1:  # labels of one length decode uniquely
-            text = _two_parses(self.labels)
+        lengths = set()
+        for lab in labels:
+            if not isinstance(lab, str) or not lab:
+                raise InvalidInputError("good labels must be nonempty strings")
+            lengths.add(len(lab))
+        if len(lengths) > 1:  # labels of one length decode uniquely
+            text = _two_parses(labels)
             if text is not None:
                 raise InvalidInputError(f"good labels are not uniquely decodable: {text!r} has two parses")
+        object.__setattr__(self, "full_mask", (1 << m) - 1)
+        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "_label_lengths", tuple(sorted(lengths, reverse=True)))
 
     def __eq__(self, other) -> bool:
         # Valuations and profiles nearly always share one universe object.
@@ -171,18 +184,6 @@ class GoodsUniverse:
     @property
     def m(self) -> int:
         return len(self.labels)
-
-    @cached_property
-    def full_mask(self) -> int:
-        return (1 << self.m) - 1
-
-    @cached_property
-    def _bits(self) -> dict[str, int]:
-        return {lab: 1 << i for i, lab in enumerate(self.labels)}
-
-    @cached_property
-    def _label_lengths(self) -> tuple[int, ...]:
-        return tuple(sorted({len(lab) for lab in self.labels}, reverse=True))
 
     @cached_property
     def bundle_names(self) -> dict[str, Bundle] | None:
@@ -261,8 +262,15 @@ class GoodsUniverse:
         return mask
 
     def format_bundle(self, mask: Bundle) -> str:
-        self.check_bundle(mask)
-        return "".join(self.labels[i] for i in iter_bits(mask))
+        if not 0 <= mask <= self.full_mask:
+            self.check_bundle(mask)
+        labels = self.labels
+        names = []
+        while mask:
+            low = mask & -mask
+            names.append(labels[low.bit_length() - 1])
+            mask ^= low
+        return "".join(names)
 
     def check_bundle(self, mask: Bundle) -> None:
         if not 0 <= mask <= self.full_mask:

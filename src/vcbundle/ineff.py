@@ -133,32 +133,35 @@ def _search_with_target(caps: tuple[int, ...], target: int) -> tuple[int, ...] |
     first_ok = [all((x := (c & r) // (r & -r)) & (x + 1) == 0 for r in runs) for c in candidates]
     rem = list(caps)
     chosen: list[int] = []
+    chosen_bits: list[tuple[int, ...]] = []
 
     def dfs(pos: int) -> tuple[int, ...] | None:
         if len(chosen) == target:
             return tuple(chosen)
         need = target - len(chosen)
         rem_total = sum(rem)
-        if chosen:
-            for h in chosen:
-                if sum(rem[l] for l in iter_bits(h)) < need:
-                    return None
+        for bits in chosen_bits:
+            if sum(map(rem.__getitem__, bits)) < need:
+                return None
         for idx in range(pos, len(candidates)):
             if rem_total < need * sizes[idx]:
                 return None  # later candidates are at least this large
             c = candidates[idx]
             if not chosen and not first_ok[idx]:
                 continue
-            if any(rem[l] == 0 for l in bits_of[idx]):
-                continue
+            bits = bits_of[idx]
+            if not all(map(rem.__getitem__, bits)):
+                continue  # a part of c is at its cap
             if any(c & h == 0 for h in chosen):
                 continue
-            for l in bits_of[idx]:
+            for l in bits:
                 rem[l] -= 1
             chosen.append(c)
+            chosen_bits.append(bits)
             found = dfs(idx)
             chosen.pop()
-            for l in bits_of[idx]:
+            chosen_bits.pop()
+            for l in bits:
                 rem[l] += 1
             if found is not None:
                 return found

@@ -78,12 +78,16 @@ def _parse_valuation(universe: GoodsUniverse, doc: Any) -> Valuation:
     elif kind == "atoms":
         atoms_doc = doc.get("atoms")
         _require(isinstance(atoms_doc, list), 'atom valuation needs an "atoms" list')
+        parse = universe.parse_bundle
         atoms = []
         for entry in atoms_doc:
-            _require(isinstance(entry, dict) and "bundle" in entry and "weight" in entry,
-                     'atoms need "bundle" and "weight"')
-            _require(isinstance(entry["bundle"], str), "atom bundles must be strings")
-            atoms.append((universe.parse_bundle(entry["bundle"]), as_value(entry["weight"])))
+            if not (isinstance(entry, dict) and "bundle" in entry and "weight" in entry):
+                raise InvalidInputError('atoms need "bundle" and "weight"')
+            bundle_str = entry["bundle"]
+            if not isinstance(bundle_str, str):
+                raise InvalidInputError("atom bundles must be strings")
+            weight = entry["weight"]
+            atoms.append((parse(bundle_str), weight if type(weight) is int else as_value(weight)))
         v = Valuation(universe, atoms=tuple(sorted(atoms)))
     else:
         raise InvalidInputError(f'valuation "kind" must be "dense" or "atoms", got {kind!r}')

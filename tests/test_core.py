@@ -41,9 +41,49 @@ class TestUniverse:
         with pytest.raises(InvalidInputError):
             GoodsUniverse(())
 
+    @pytest.mark.parametrize("labels, message", [
+        ((1, 2), "good labels must be nonempty strings"),
+        (("a", 2), "good labels must be nonempty strings"),
+        ((None, "a"), "good labels must be nonempty strings"),
+        (("a", ""), "good labels must be nonempty strings"),
+        ((1, 1), "good labels must be distinct"),
+        (("", ""), "good labels must be distinct"),
+    ])
+    def test_labels_must_be_nonempty_strings_checked_after_distinct(self, labels, message):
+        with pytest.raises(InvalidInputError) as exc:
+            GoodsUniverse(labels)
+        assert str(exc.value) == message
+
     def test_parse_and_format_roundtrip(self, u4):
         for mask in u4.all_bundles():
             assert u4.parse_bundle(u4.format_bundle(mask)) == mask
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_format_then_parse_is_the_identity(self, data):
+        universe = data.draw(st.sampled_from([
+            GoodsUniverse(("b", "a", "c", "d", "e")),
+            GoodsUniverse.of_size(30),
+            GoodsUniverse(("a", "ab", "bb")),
+        ]))
+        mask = data.draw(st.integers(0, universe.full_mask))
+        text = universe.format_bundle(mask)
+        assert text == "".join(lab for i, lab in enumerate(universe.labels) if mask >> i & 1)
+        assert universe.parse_bundle(text) == mask
+        bad = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=universe.full_mask + 1)))
+        with pytest.raises(InvalidInputError) as checked:
+            universe.check_bundle(bad)
+        with pytest.raises(InvalidInputError) as formatted:
+            universe.format_bundle(bad)
+        assert str(formatted.value) == str(checked.value) == f"bundle {bad:#x} outside universe of {universe.m} goods"
+
+    def test_derived_fields_stay_out_of_eq_hash_and_repr(self):
+        u, twin = GoodsUniverse(("a", "bc")), GoodsUniverse(("a", "bc"))
+        assert (u.full_mask, u._bits, u._label_lengths) == (0b11, {"a": 1, "bc": 2}, (2, 1))
+        assert repr(u) == "GoodsUniverse(labels=('a', 'bc'))"
+        object.__setattr__(twin, "full_mask", 0)
+        object.__setattr__(twin, "_bits", {})
+        assert u == twin and hash(u) == hash(twin) == hash(GoodsUniverse(("a", "bc")))
 
     def test_parse_rejects_garbage(self, u4):
         with pytest.raises(InvalidInputError):

@@ -97,6 +97,34 @@ def test_dense_keys_from_the_name_table_parse_as_the_per_key_loop(data):
     assert parse() == expected
 
 
+def _atoms(*atoms):
+    return {"goods": ["a", "b"], "valuations": [{"kind": "atoms", "atoms": list(atoms)}]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"goods": [], "valuations": []}, "universe needs at least one good"),
+    ({"goods": ["a", "a"], "valuations": []}, "good labels must be distinct"),
+    ({"goods": ["a", ""], "valuations": []}, "good labels must be nonempty strings"),
+    ({"goods": ["a", 2], "valuations": []}, '"goods" must be a list of label strings'),
+    ({"goods": ["a"], "valuations": [["a"]]}, "valuation entries must be objects"),
+    ({"goods": ["a"], "valuations": [{"kind": "xor"}]},
+     'valuation "kind" must be "dense" or "atoms", got \'xor\''),
+    ({"goods": ["a"], "valuations": [{"kind": "atoms", "atoms": {}}]}, 'atom valuation needs an "atoms" list'),
+    (_atoms(["a", 1]), 'atoms need "bundle" and "weight"'),
+    (_atoms({"weight": 1}), 'atoms need "bundle" and "weight"'),
+    (_atoms({"bundle": "a"}), 'atoms need "bundle" and "weight"'),
+    (_atoms({"bundle": 1, "weight": 1}), "atom bundles must be strings"),
+    (_atoms({"bundle": "a", "weight": True}), "boolean is not a value"),
+    (_atoms({"bundle": "a", "weight": 1}, {"bundle": "b", "weight": -1}), "atom weights must be nonnegative"),
+    (_atoms({"bundle": "ac", "weight": 1}), "cannot parse bundle string 'ac'"),
+    (_atoms({"bundle": "aba", "weight": 1}), "bundle string 'aba' names 'a' twice"),
+])
+def test_front_end_error_messages(doc, message):
+    with pytest.raises(InvalidInputError) as exc:
+        parse_instance(doc)
+    assert str(exc.value) == message
+
+
 def test_unknown_kind_rejected():
     doc = {"goods": ["a"], "valuations": [{"kind": "xor", "bids": []}]}
     with pytest.raises(InvalidInputError):
