@@ -88,7 +88,7 @@ def _tie_costs(profile: Profile, tie: TieBreak, reference: Profile | None):
         return [int.bit_count] * profile.n
     if reference is None:
         raise InvalidInputError("adversarial tie-break needs a reference profile")
-    if reference.n != profile.n or reference.universe != profile.universe:
+    if reference.n != profile.n or reference.universe is not profile.universe and reference.universe != profile.universe:
         raise InvalidInputError("reference profile shape mismatch")
     return [v.value for v in reference.valuations]
 
@@ -185,10 +185,6 @@ def _dense_rows(tables, options=None, last=None):
     return rows
 
 
-def _middle_options(tables) -> list:
-    return [_strict_options(vals) for vals in tables[1:-1]]
-
-
 def _folded(tables, cost_tables):
     """Each table as the exact integers v(T)*D*K - c(T)*D: D clears every
     value and cost denominator and K exceeds the spread of any total cost
@@ -228,12 +224,8 @@ def _dense_solve(profile: Profile, tie: TieBreak, reference: Profile | None):
         else:
             cost_tables = [list(map(cost, range(len(tables[0])))) for cost in costs]
         weights, last = _folded(tables, cost_tables), None  # folded weights are swept
-    masks = _least_tuple(weights, _middle_options(weights), last)
+    masks = _least_tuple(weights, [_strict_options(vals) for vals in weights[1:-1]], last)
     return Allocation(profile.universe, tuple(masks)), as_value(sum(map(getitem, tables, masks)))
-
-
-def _atom_list(profile: Profile):
-    return [(i, mask, weight) for i, v in enumerate(profile.valuations) for mask, weight in v.atoms]
 
 
 def _keyed_atoms(atoms, n: int, costs):
@@ -289,7 +281,7 @@ def _sparse_solve(profile: Profile, tie: TieBreak, reference: Profile | None, dr
     that pass's memo, so the packing runs one recursion.  Otherwise it
     reads ``best`` and the entries are all 0.
     """
-    atoms = _atom_list(profile)
+    atoms = [(i, mask, weight) for i, v in enumerate(profile.valuations) for mask, weight in v.atoms]
     costs = _tie_costs(profile, tie, reference)
     n = profile.n
     full = profile.universe.full_mask
@@ -393,7 +385,8 @@ def max_surplus(profile: Profile) -> Value:
         atoms = [atom for v in profile.valuations for atom in v.atoms]
         return as_value(max_packing(atoms, profile.universe.full_mask))
     tables, last = _dense_tables(profile)
-    return as_value(_dense_rows(tables, _middle_options(tables), last)[0][profile.universe.full_mask])
+    rows = _dense_rows(tables, [_strict_options(vals) for vals in tables[1:-1]], last)
+    return as_value(rows[0][profile.universe.full_mask])
 
 
 def optimal_allocation(
@@ -429,7 +422,7 @@ def sigma_optimal_surplus(profile: Profile, family: BundleFamily) -> tuple[Alloc
     one memoised search over family bundles that keeps the least optimal
     bundle tuple.
     """
-    if family.universe != profile.universe:
+    if family.universe is not profile.universe and family.universe != profile.universe:
         raise InvalidInputError("profile and family universes differ")
     partition = partition_of_family(family)
     if partition is not None:
@@ -437,6 +430,7 @@ def sigma_optimal_surplus(profile: Profile, family: BundleFamily) -> tuple[Alloc
 
     bundles = family.sorted_bundles[1:]
     options = []
+    tabled = []  # buyers whose options are every family bundle of positive value
     for v in profile.valuations:
         # A single-atom buyer never needs more than the inclusion-minimal
         # family supersets of the atom, each worth the atom's weight: any
@@ -448,6 +442,7 @@ def sigma_optimal_surplus(profile: Profile, family: BundleFamily) -> tuple[Alloc
             continue
         # A bundle worth 0 or less never beats the empty bundle, because the
         # search is monotone in ``free``.
+        tabled.append(len(options))
         options.append([(c, w) for c in bundles if (w := v.value(c)) > 0])
     # Buyer i meets at most min(2^m, prod over j < i of (|options_j| + 1))
     # free sets and tries each of its options on every one.
@@ -459,8 +454,29 @@ def sigma_optimal_surplus(profile: Profile, family: BundleFamily) -> tuple[Alloc
         raise BudgetExceededError(
             f"family search capped at {FAMILY_SEARCH_STEPS_CAP} option steps, bound {steps}"
         )
+    # Keep only the strict options of such a buyer, when that pass (at most
+    # |options|^2 steps) costs no more than the search's own bound.
+    for i in tabled:
+        if len(options[i]) ** 2 <= steps:
+            options[i] = _strict_family_options(options[i])
     total, masks = _family_search(0, profile.universe.full_mask, options, {})
     return Allocation(profile.universe, masks), as_value(total)
+
+
+def _strict_family_options(options):
+    """The ascending (bundle, value) options without each C that a kept C'
+    inside it matches in value: C' frees more goods and has the smaller mask,
+    so the least optimal tuple never takes C.  One pass, as in
+    ``_minimal_supersets``: an option dropped for a kept C' inside it leaves
+    C' to match every option that it would have matched."""
+    kept = []
+    for c, w in options:
+        for k, x in kept:
+            if x >= w and k & c == k:
+                break
+        else:
+            kept.append((c, w))
+    return kept
 
 
 def _family_search(i: int, free: Bundle, options, memo) -> tuple[Value, tuple[Bundle, ...]]:
@@ -529,7 +545,10 @@ def run_vc(
     re-solve without each buyer, and one rule then gives every payment.
     """
     tie = tie or TieBreak.canonical()
-    if true_profile is not None and (true_profile.n != reported.n or true_profile.universe != reported.universe):
+    if true_profile is not None and (
+        true_profile.n != reported.n
+        or true_profile.universe is not reported.universe and true_profile.universe != reported.universe
+    ):
         raise InvalidInputError("true profile shape mismatch")
     sparse = reported.all_sparse
     reported, true_profile = (

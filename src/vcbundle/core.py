@@ -360,10 +360,6 @@ class Valuation:
         canon = tuple(sorted((mask, as_value(w)) for mask, w in atoms))
         return Valuation(universe, atoms=canon)
 
-    @property
-    def is_sparse(self) -> bool:
-        return self.atoms is not None
-
     def value(self, mask: Bundle) -> Value:
         self.universe.check_bundle(mask)
         if self.table is not None:
@@ -568,8 +564,9 @@ def max_packing(atoms: Sequence[tuple[Bundle, Value]], free: Bundle) -> Value:
 
 def unanimity_valuation(universe: GoodsUniverse, bundle: Bundle, weight=1) -> Valuation:
     """weight on every superset of ``bundle``, 0 elsewhere; zero if bundle is empty."""
-    universe.check_bundle(bundle)
-    w = as_value(weight)
+    if not 0 <= bundle <= universe.full_mask:
+        universe.check_bundle(bundle)
+    w = weight if type(weight) is int else as_value(weight)
     if w < 0:
         raise InvalidInputError("weight must be nonnegative")
     return Valuation(universe, atoms=((bundle, w),))
@@ -627,8 +624,10 @@ class Profile:
     def __post_init__(self) -> None:
         if len(self.valuations) < 1:
             raise InvalidInputError("profile needs at least one buyer")
+        universe = self.universe
         for v in self.valuations:
-            if v.universe != self.universe:
+            # Identity first: valuations nearly always share the profile's object.
+            if v.universe is not universe and v.universe != universe:
                 raise InvalidInputError("all valuations must share the profile's universe")
 
     @property
@@ -637,7 +636,10 @@ class Profile:
 
     @property
     def all_sparse(self) -> bool:
-        return all(v.is_sparse for v in self.valuations)
+        for v in self.valuations:
+            if v.atoms is None:
+                return False
+        return True
 
     def drop(self, i: int) -> "Profile | None":
         rest = self.valuations[:i] + self.valuations[i + 1 :]
@@ -659,9 +661,11 @@ class Allocation:
     buyer_bundles: tuple[Bundle, ...]
 
     def __post_init__(self) -> None:
+        full = self.universe.full_mask
         union = 0
         for mask in self.buyer_bundles:
-            self.universe.check_bundle(mask)
+            if not 0 <= mask <= full:
+                self.universe.check_bundle(mask)
             if union & mask:
                 raise InvalidInputError("buyer bundles overlap")
             union |= mask
@@ -754,8 +758,10 @@ class BundleFamily:
     bundles: frozenset[Bundle] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        full = self.universe.full_mask
         for mask in self.bundles:
-            self.universe.check_bundle(mask)
+            if not 0 <= mask <= full:
+                self.universe.check_bundle(mask)
         if 0 not in self.bundles:
             raise InvalidInputError("a bundle family must contain the empty bundle")
 

@@ -148,12 +148,14 @@ def project_valuation(v: Valuation, family: BundleFamily) -> Valuation:
     supersets of its bundle, which works at any m.  Multi-atom sparse
     valuations go through a dense table.
     """
-    if v.universe != family.universe:
+    if v.universe is not family.universe and v.universe != family.universe:
         raise InvalidInputError("valuation and family universes differ")
     if v.atoms is not None and len(v.atoms) < 2:
-        # The minimal supersets ascend, so these atoms need no sort.
+        # The minimal supersets ascend, so these atoms need no sort; an int
+        # weight is already its own value.
         return Valuation(v.universe, atoms=tuple([
-            (c, as_value(w)) for a, w in v.atoms for c in _minimal_supersets(a, family.sorted_bundles)
+            (c, w if type(w) is int else as_value(w))
+            for a, w in v.atoms for c in _minimal_supersets(a, family.sorted_bundles)
         ]))
     v = v.to_dense()
     # Seed the family members with their own values (at least 0), then take

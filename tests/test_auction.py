@@ -604,7 +604,7 @@ class TestStrictRows:
     def test_rows_are_the_same_with_and_without_lists(self, data):
         m = data.draw(st.integers(1, 5))
         tables = [data.draw(strict_kind_tables(m)) for _ in range(data.draw(st.integers(3, 5)))]
-        options = auction._middle_options(tables)
+        options = [auction._strict_options(vals) for vals in tables[1:-1]]
         assert auction._dense_rows(tables, options) == auction._dense_rows(tables)
 
     @given(data=st.data())
@@ -698,7 +698,7 @@ class TestMonotoneLastRow:
         m = data.draw(st.integers(1, 5))
         universe = GoodsUniverse.of_size(m)
         tables = [data.draw(dense_valuations(universe)).table for _ in range(data.draw(st.integers(2, 5)))]
-        options = auction._middle_options(tables)
+        options = [auction._strict_options(vals) for vals in tables[1:-1]]
         rows = auction._dense_rows(tables, options, tables[-1])
         assert [rows[0], *map(list, rows[1:])] == auction._dense_rows(tables, options)
         # The cached check holds exactly for tables equal to their sweep.
@@ -983,6 +983,46 @@ class TestSigmaOptimalSurplus:
         # identity: restricted optimum equals the optimum of the projections
         projected = project_profile(profile, fam)
         assert s == max_surplus(projected)
+
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_dense_and_multi_atom_buyers_on_nested_members(self, data):
+        # Small values on nested members: a member is often worth no more
+        # than one inside it, so the search drops it.
+        m = data.draw(st.integers(2, 4))
+        universe = GoodsUniverse.of_size(m)
+        full = universe.full_mask
+        multi_atom = st.lists(st.tuples(st.integers(1, full), st.integers(1, 3)), min_size=2, max_size=3).map(
+            lambda atoms: Valuation.from_atoms(universe, atoms)
+        )
+        buyers = st.one_of(dense_valuations(universe, max_value=3), multi_atom)
+        profile = Profile(universe, tuple(data.draw(buyers) for _ in range(data.draw(st.integers(1, 3)))))
+        members = data.draw(st.lists(st.integers(1, full), min_size=2, max_size=8))
+        fam = BundleFamily.of(universe, members + [b | c for b, c in zip(members, members[1:])])
+        assume(partition_of_family(fam) is None)
+        alloc, s = sigma_optimal_surplus(profile, fam)
+        assert (s, alloc.buyer_bundles) == brute_force_least_sigma_tuple(profile, fam.bundles)
+
+    def test_strict_family_options_drop_matched_supersets(self):
+        options = [(0b001, 2), (0b010, 1), (0b011, 2), (0b100, 1), (0b110, 1), (0b111, 3)]
+        assert auction._strict_family_options(options) == [(0b001, 2), (0b010, 1), (0b100, 1), (0b111, 3)]
+
+    def test_strict_pass_runs_only_within_the_search_bound(self, u4, monkeypatch):
+        # The pass costs up to |options|^2 steps, so it runs only when that is
+        # no more than the search's bound; either way the answer is the same.
+        table = [min(mask.bit_count(), 2) for mask in range(16)]
+        fam = BundleFamily.of(u4, [0b0001, 0b0011, 0b0111, 0b1000, 0b1100])
+        filtered = []
+        strict = auction._strict_family_options
+        monkeypatch.setattr(auction, "_strict_family_options", lambda opts: filtered.append(opts) or strict(opts))
+        # One buyer: a bound of 5 steps against 25.  Two buyers: 5 + 5 * 6
+        # steps, buyer 1 meeting up to six free sets, against 25 each.
+        for n, runs in ((1, 0), (2, 2)):
+            profile = Profile(u4, (Valuation.dense(u4, table),) * n)
+            filtered.clear()
+            alloc, s = sigma_optimal_surplus(profile, fam)
+            assert (s, alloc.buyer_bundles) == brute_force_least_sigma_tuple(profile, fam.bundles)
+            assert len(filtered) == runs
 
     @given(data=st.data())
     @settings(max_examples=30)
