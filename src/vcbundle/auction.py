@@ -277,9 +277,8 @@ def _sparse_solve(profile: Profile, tie: TieBreak, reference: Profile | None, dr
 
     With ``drop_one``, one ``best_without`` pass over the packing gives
     entry i the best surplus without buyer i, and entry n, a slot that
-    holds no atom, S_max; the reconstruction then reads V(j, free) from
-    that pass's memo, so the packing runs one recursion.  Otherwise it
-    reads ``best`` and the entries are all 0.
+    holds no atom, S_max; the reconstruction's ``best`` then reads V(j,
+    free) from that pass's states.  Otherwise the entries are all 0.
     """
     atoms = [(i, mask, weight) for i, v in enumerate(profile.valuations) for mask, weight in v.atoms]
     costs = _tie_costs(profile, tie, reference)
@@ -293,16 +292,14 @@ def _sparse_solve(profile: Profile, tie: TieBreak, reference: Profile | None, dr
     else:
         keyed, plain = _keyed_atoms(atoms, n, costs)
         packing = AtomPacking(keyed)
-    optimum = packing.best
     without = [0] * (n + 1)  # every optimum of a profile with no atom
     if drop_one and atoms:
         without = list(map(plain, packing.best_without([i for i, _, _ in atoms], full, n + 1)))
-        optimum = packing.without
-    need = optimum(0, full)
+    need = packing.best(0, full)
     if walk:
         buyers = [atoms[k][0] for k in packing.order]
         _, masks, values = _least_optimum(
-            packing, optimum, buyers, costs, {}, 0, full, need, [0] * n, [0] * n, [0]
+            packing, buyers, costs, {}, 0, full, need, [0] * n, [0] * n, [0]
         )
     else:
         # Read the one optimal bundle tuple back in a forward pass: an atom
@@ -312,7 +309,7 @@ def _sparse_solve(profile: Profile, tie: TieBreak, reference: Profile | None, dr
         values = [0] * n
         for j, (mask, weight, index) in enumerate(zip(packing.masks, packing.weights, packing.order)):
             if mask & free == mask and need:
-                rest = optimum(j + 1, free ^ mask)
+                rest = packing.best(j + 1, free ^ mask)
                 if weight + rest == need:
                     i, _, w = atoms[index]
                     masks[i] |= mask
@@ -323,14 +320,14 @@ def _sparse_solve(profile: Profile, tie: TieBreak, reference: Profile | None, dr
 
 
 def _least_optimum(
-    packing: AtomPacking, optimum, buyers, costs, seen, j: int, free: int, need: Value, masks, worth, nodes
+    packing: AtomPacking, buyers, costs, seen, j: int, free: int, need: Value, masks, worth, nodes
 ):
     """(key, buyer masks, buyer values) of the optimal leaf below atom j
     that is least in key = (reference surplus, bundle tuple).
 
-    ``optimum(j, free)`` is the packing's V; ``need`` is the weight atoms
-    j.. must still add inside ``free``, and a child is entered only when
-    its exact V meets it, so every leaf reached is optimal.  Once ``need``
+    ``packing.best(j, free)`` is V; ``need`` is the weight atoms j.. must
+    still add inside ``free``, and a child is entered only when its exact V
+    meets it, so every leaf reached is optimal.  Once ``need``
     is 0 the remaining (positive) atoms are all left out.  ``masks`` and
     ``worth`` hold each buyer's taken atoms so far.  A leaf's key is None
     until it meets another leaf, so a walk with one optimum computes none;
@@ -347,15 +344,15 @@ def _least_optimum(
     best = None
     mask = packing.masks[j]
     weight = packing.weights[j]
-    args = packing, optimum, buyers, costs, seen, j + 1
-    if mask & free == mask and weight + optimum(j + 1, free ^ mask) == need:
+    args = packing, buyers, costs, seen, j + 1
+    if mask & free == mask and weight + packing.best(j + 1, free ^ mask) == need:
         buyer = buyers[j]
         masks[buyer] |= mask
         worth[buyer] += weight
         best = _least_optimum(*args, free ^ mask, need - weight, masks, worth, nodes)
         masks[buyer] ^= mask
         worth[buyer] -= weight
-    if optimum(j + 1, free) == need:
+    if packing.best(j + 1, free) == need:
         leaf = _least_optimum(*args, free, need, masks, worth, nodes)
         if best is not None:
             best, leaf = _keyed(costs, seen, best), _keyed(costs, seen, leaf)

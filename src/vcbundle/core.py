@@ -429,12 +429,13 @@ class AtomPacking:
     instance, which holds no reference cycle.  The recursion goes one level
     deeper per atom, so the atom count is capped at ``SPARSE_ATOMS_CAP``.
 
-    ``best_without`` runs the same recursion once for many drop-one optima,
-    keeping V and the slots that lose at each state; its memo stays in
-    ``_drop_memo`` until the next such pass, and ``without`` reads V from it.
+    One recursion answers both plain solves and drop-one optima: each memo
+    entry holds V and the slots that lose at that state.  The slots start
+    all None, so a plain solve keeps no losses; ``best_without`` sets them
+    and starts the memo afresh, and ``best`` then reads V from its states.
     """
 
-    __slots__ = ("order", "masks", "weights", "_cover", "_memo", "_slots", "_drop_memo")
+    __slots__ = ("order", "masks", "weights", "_cover", "_memo", "_slots")
 
     def __init__(self, atoms: Sequence[tuple[Bundle, Value]]) -> None:
         if len(atoms) > SPARSE_ATOMS_CAP:
@@ -463,9 +464,10 @@ class AtomPacking:
             cover[j] = cover[j + 1] | masks[j]
         self._cover = cover
         self._memo = {}
+        self._slots = [None] * len(order)
 
     def best(self, j: int, free: Bundle) -> Value:
-        return _pack(j, free, self.masks, self.weights, self._cover, self._memo)
+        return _pack(j, free, self.masks, self.weights, self._slots, self._cover, self._memo)[0]
 
     def best_without(self, groups: Sequence[int | None], free: Bundle, slots: int) -> list[Value]:
         """Entry g is V(0, free) over the atoms outside group g, for each of
@@ -473,47 +475,24 @@ class AtomPacking:
         and a slot that holds no atom gets V(0, free) itself.  The pass
         visits the states of ``best(0, free)`` once each: all the drop-one
         optima of pivot payments for about the work of one solve
-        (Hershberger & Suri 2001).
+        (Hershberger & Suri 2001).  The pass replaces the memo, and ``best``
+        reads V from the same states until the next pass.
         """
         self._slots = [groups[i] for i in self.order]
-        self._drop_memo = {}
-        best, losses = _pack_without(0, free, self.masks, self.weights, self._slots, self._cover, self._drop_memo)
+        self._memo = {}
+        best, losses = _pack(0, free, self.masks, self.weights, self._slots, self._cover, self._memo)
         return [losses.get(g, best) for g in range(slots)]
-
-    def without(self, j: int, free: Bundle) -> Value:
-        """V(j, free), read from the last ``best_without`` pass."""
-        return _pack_without(j, free, self.masks, self.weights, self._slots, self._cover, self._drop_memo)[0]
-
-
-def _pack(j: int, free: Bundle, masks, weights, cover, memo) -> Value:
-    # Skip atoms that no longer fit; they cannot change V.
-    while True:
-        free &= cover[j]
-        if not free:
-            return 0
-        atom = masks[j]
-        if atom & free == atom:
-            break
-        j += 1
-    key = (j, free)
-    best = memo.get(key)
-    if best is None:
-        best = _pack(j + 1, free, masks, weights, cover, memo)
-        cand = weights[j] + _pack(j + 1, free ^ atom, masks, weights, cover, memo)
-        if cand > best:
-            best = cand
-        memo[key] = best
-    return best
 
 
 _NO_LOSSES = (0, {})  # a state with no atom; its mapping is never written
 
 
-def _pack_without(j: int, free: Bundle, masks, weights, slots, cover, memo) -> tuple[Value, dict]:
-    # ``_pack`` with each state's drop-one optima as (V, losses): losses maps
-    # each slot worth less than V; the others are worth V.  Taking atom j
-    # raises every entry but its own slot's, and a tie keeps the skip value
-    # as ``_pack`` does, so only j's slot and the chosen branch's losers lose.
+def _pack(j: int, free: Bundle, masks, weights, slots, cover, memo) -> tuple[Value, dict]:
+    # (V, losses) of a state: losses maps each slot worth less than V; the
+    # others are worth V.  Atoms that no longer fit are skipped; they cannot
+    # change either.  Taking atom j raises every entry but its own slot's,
+    # and a tie keeps the skip value, so only j's slot and the chosen
+    # branch's losers lose.
     while True:
         free &= cover[j]
         if not free:
@@ -525,8 +504,8 @@ def _pack_without(j: int, free: Bundle, masks, weights, slots, cover, memo) -> t
     key = (j, free)
     got = memo.get(key)
     if got is None:
-        skip, skip_losses = _pack_without(j + 1, free, masks, weights, slots, cover, memo)
-        take, take_losses = _pack_without(j + 1, free ^ atom, masks, weights, slots, cover, memo)
+        skip, skip_losses = _pack(j + 1, free, masks, weights, slots, cover, memo)
+        take, take_losses = _pack(j + 1, free ^ atom, masks, weights, slots, cover, memo)
         weight = weights[j]
         slot = slots[j]
         losses = {}
@@ -684,6 +663,8 @@ class Allocation:
     def surplus(self, profile: Profile) -> Value:
         if profile.n != len(self.buyer_bundles):
             raise InvalidInputError("profile and allocation sizes differ")
+        if profile.universe is not self.universe and profile.universe != self.universe:
+            raise InvalidInputError("profile and allocation universes differ")
         total = 0
         for v, mask in zip(profile.valuations, self.buyer_bundles):
             total += v.value(mask)

@@ -23,6 +23,7 @@ from .core import (
     MAX_EXACT_PARTS,
     FAMILY_TARGET_CAP,
     MAX_ORACLE_GOODS,
+    UNIVERSE_GOODS_CAP,
     Partition,
     Profile,
     as_value,
@@ -111,13 +112,15 @@ class FamilySearchResult:
     exhausted: tuple[int, ...]  # larger targets proven infeasible
 
 
-def _search_with_target(caps: tuple[int, ...], target: int) -> tuple[int, ...] | None:
-    """First family of exactly ``target`` sets in canonical order, or None.
+def _family_search(caps: tuple[int, ...]):
+    """The search of one partition: a function of ``target`` that returns
+    the first family of exactly ``target`` sets in canonical order, or None.
 
     caps must be sorted descending.  Candidates are scanned by (size, mask);
     the family's first (minimal) set is restricted to masks whose bits form a
     prefix inside every equal-cap run, which every family can be relabeled
-    into, cutting the part-permutation symmetry.
+    into, cutting the part-permutation symmetry.  These tables depend on the
+    caps alone, so they are built once for every target.
     """
     k = len(caps)
     candidates = sorted(range(1, 1 << k), key=lambda msk: (msk.bit_count(), msk))
@@ -131,11 +134,11 @@ def _search_with_target(caps: tuple[int, ...], target: int) -> tuple[int, ...] |
             runs.append(1 << i)
     # Shifted down to its run's lowest part, a prefix is 2^j - 1.
     first_ok = [all((x := (c & r) // (r & -r)) & (x + 1) == 0 for r in runs) for c in candidates]
-    rem = list(caps)
+    rem = list(caps)  # each return restores these, so every target shares them
     chosen: list[int] = []
     chosen_bits: list[tuple[int, ...]] = []
 
-    def dfs(pos: int) -> tuple[int, ...] | None:
+    def dfs(pos: int, target: int) -> tuple[int, ...] | None:
         if len(chosen) == target:
             return tuple(chosen)
         need = target - len(chosen)
@@ -158,7 +161,7 @@ def _search_with_target(caps: tuple[int, ...], target: int) -> tuple[int, ...] |
                 rem[l] -= 1
             chosen.append(c)
             chosen_bits.append(bits)
-            found = dfs(idx)
+            found = dfs(idx, target)
             chosen.pop()
             chosen_bits.pop()
             for l in bits:
@@ -167,7 +170,7 @@ def _search_with_target(caps: tuple[int, ...], target: int) -> tuple[int, ...] |
                 return found
         return None
 
-    return dfs(0)
+    return lambda target: dfs(0, target)
 
 
 def max_feasible_family(partition: Partition) -> FamilySearchResult:
@@ -191,9 +194,10 @@ def max_feasible_family(partition: Partition) -> FamilySearchResult:
         raise BudgetExceededError(
             f"exact family search capped at {FAMILY_TARGET_CAP} sets, first target {upper}"
         )
+    search = _family_search(caps_sorted)
     exhausted = []
     for target in range(upper, 0, -1):
-        found = _search_with_target(caps_sorted, target)
+        found = search(target)
         if found is None:
             exhausted.append(target)
             continue
@@ -369,10 +373,18 @@ def projective_plane(q: int) -> ProjectivePlane:
         return ProjectivePlane(
             1, 3, (frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3}))
         )
-    if q < 0 or not _is_prime(q):
-        raise InvalidInputError(
-            f"unsupported plane order {q}: only 0, 1, and prime orders are constructed"
+    unsupported = f"unsupported plane order {q}: only 0, 1, and prime orders are constructed"
+    if q < 0:
+        raise InvalidInputError(unsupported)
+    # Budgeted before any point is built: the count of point-line
+    # incidences is the count of goods of the plane's Theorem 4 witness.
+    incidences = (q + 1) * (q * q + q + 1)
+    if incidences > UNIVERSE_GOODS_CAP:
+        raise BudgetExceededError(
+            f"projective plane capped at {UNIVERSE_GOODS_CAP} point-line incidences, got {incidences} at q = {q}"
         )
+    if not _is_prime(q):
+        raise InvalidInputError(unsupported)
     reps = (
         [(1, y, z) for y in range(q) for z in range(q)]
         + [(0, 1, z) for z in range(q)]

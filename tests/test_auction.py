@@ -274,14 +274,14 @@ class TestPackingKernel:
             groups = [None if i % 5 == 4 else i % 3 for i in range(len(atoms))]
             packing = AtomPacking(atoms)
             optima = packing.best_without(groups, (1 << m) - 1, 3)
-            total += len(packing._drop_memo)
+            total += len(packing._memo)
             assert optima == [
                 AtomPacking([a for a, g in zip(atoms, groups) if g != slot]).best(0, (1 << m) - 1)
                 for slot in range(3)
             ]
             # The same atoms over 4-10 buyers' slots plus one that holds no
             # atom: each state keeps only the slots that lose, and
-            # ``without`` reads V itself.
+            # ``best`` reads V itself.
             slots = layout.randint(4, 10)
             groups = [layout.randrange(slots) for _ in atoms]
             packing = AtomPacking(atoms)
@@ -290,8 +290,8 @@ class TestPackingKernel:
                 AtomPacking([a for a, g in zip(atoms, groups) if g != slot]).best(0, (1 << m) - 1)
                 for slot in range(slots + 1)
             ]
-            assert packing.without(0, (1 << m) - 1) == optima[slots]
-            assert all(loss < best for best, losses in packing._drop_memo.values() for loss in losses.values())
+            assert packing.best(0, (1 << m) - 1) == optima[slots]
+            assert all(loss < best for best, losses in packing._memo.values() for loss in losses.values())
         assert total == 6_791
 
     def test_sparse_solves_leave_no_cyclic_garbage(self):
@@ -849,8 +849,8 @@ class TestSparsePayments:
             optimal_allocation(profile)
             run_vc(profile)
             solve, passed = built
-            assert passed._memo == {} and set(passed._drop_memo) == set(solve._memo)
-            total += len(passed._drop_memo)
+            assert set(passed._memo) == set(solve._memo)
+            total += len(passed._memo)
         assert total == 6_791
 
     @given(data=st.data())

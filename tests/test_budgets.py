@@ -19,6 +19,7 @@ from vcbundle import (
     optimal_allocation,
     partition_from_sizes,
     project_valuation,
+    projective_plane,
     ratio_oracle,
     run_vc,
     sigma_optimal_surplus,
@@ -89,6 +90,8 @@ BUDGET_CASES = {
     "partition-field": (lambda: field_of_partition(partition_from_sizes([1] * 21)), 20, 21),
     "partition-unions": (lambda: partition_from_sizes([1] * 21).unions, 20, 21),
     "universe-goods": (lambda: GoodsUniverse.of_size(100_001), 100_000, 100_001),
+    # (q + 1)(q^2 + q + 1) point-line incidences, refused before any point.
+    "projective-plane": (lambda: projective_plane(47), 100_000, 108_336),
     "family-search": (lambda: max_feasible_family(partition_from_sizes([1] * 9)), 8, 9),
     # One part of 1200 goods: the first target is 1200 sets, one frame each.
     "family-target": (lambda: max_feasible_family(partition_from_sizes([1200])), 800, 1200),

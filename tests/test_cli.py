@@ -70,6 +70,13 @@ class TestSubcommands:
         assert doc["r_pi"] == 21
         assert doc["runtime"] is None
 
+    def test_analyze_partition_timings(self):
+        default = json.loads(cli("analyze-partition", "--sizes", "2,4,3").stdout)
+        timed = json.loads(cli("analyze-partition", "--sizes", "2,4,3", "--timings").stdout)
+        runtime = timed.pop("runtime")
+        assert type(runtime) in (int, float) and runtime >= 0
+        assert default.pop("runtime") is None and timed == default
+
     def test_plane_q2(self):
         proc = cli("plane", "--q", "2")
         doc = json.loads(proc.stdout)
@@ -113,6 +120,10 @@ class TestExitCodes:
 
     def test_unsupported_plane_order(self):
         assert cli("plane", "--q", "4").returncode == 1
+
+    def test_plane_over_budget(self):
+        # 48 * 2257 = 108,336 incidences: refused before any point is built.
+        assert cli("plane", "--q", "47").returncode == 2
 
     def test_seed_is_rejected_where_nothing_reads_it(self):
         assert cli("plane", "--q", "2", "--seed", "3").returncode == 1

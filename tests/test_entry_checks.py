@@ -100,6 +100,10 @@ ENTRY_POINTS = {
         lambda u: deviation_gap(_family(u), _profile(U), 2),
         "valuation and family universes differ",
     ),
+    "allocation-surplus": (
+        lambda u: Allocation(U, (0b0001, 0b0110)).surplus(_sparse_profile(u)),
+        "profile and allocation universes differ",
+    ),
 }
 
 
